@@ -17,21 +17,19 @@ from typing import Optional
 from .computation import (
     Computation,
     Core,
-    computation_traces,
+    _paths_for_word,
     size_compatible,
     trivial_computation,
 )
 from .hml import EffectContext, format_formula, satisfies, states_satisfying
 from .lts import (
     Lts,
-    State,
     Word,
     _state_to_json,
     format_state,
     longest_acyclic_path,
     reach,
     reachable_states,
-    state_key,
     step,
     subwords,
 )
@@ -69,20 +67,11 @@ class ConditionReport:
                 return name.upper()
         return None
 
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            getattr(self, name) is True
-            for name in ("ac1", "ac2a", "ac2b", "ac2c", "ac3")
-        )
-
 
 @dataclass(frozen=True)
 class CauseReport:
     computation: Computation
     kill_traces: frozenset
-    diagnostics: ConditionReport
-    bound: int
 
     def sort_key(self):
         return self.computation.core.sort_key()
@@ -254,6 +243,26 @@ def _dlists_from_kill(core_labels: Word, kill: frozenset) -> tuple:
     )
 
 
+def _evaluate_core(
+    lts: Lts, sat: frozenset, labels: Word, k: int, exact: bool
+) -> Optional[tuple]:
+    """Judge one label word at bound k: None when AC2(b) fails, otherwise
+    (kill, dlists, truncated).  On a bound that is not exact, truncated says
+    whether the verdict or the kill set changes at k+1.
+
+    AC2(c) needs no check of its own: every kill word is executable and
+    always escapes the effect by construction of the verdict.
+    """
+    clean, kill = _universe_verdict(lts, sat, labels, k)
+    if not clean:
+        return None
+    truncated = False
+    if not exact:
+        clean_next, kill_next = _universe_verdict(lts, sat, labels, k + 1)
+        truncated = (not clean_next) or kill_next != kill
+    return kill, _dlists_from_kill(labels, kill), truncated
+
+
 def cause_candidate(
     ctx: EffectContext, core: Core, k: int
 ) -> tuple[Optional[Computation], ConditionReport]:
@@ -265,49 +274,22 @@ def cause_candidate(
     report shows the first failure.
     """
     _require_valid_core(ctx.lts, core)
-    lts, formula = ctx.lts, ctx.formula
-    sat = states_satisfying(lts, formula)
-    ac1 = core.final in sat
-    if not ac1:
+    lts = ctx.lts
+    sat = states_satisfying(lts, ctx.formula)
+    if core.final not in sat:
         return None, ConditionReport(ac1=False)
-    ac2a = bool(reachable_states(lts) - sat)
-    if not ac2a:
+    if not reachable_states(lts) - sat:
         return None, ConditionReport(ac1=True, ac2a=False)
-    clean, kill = _universe_verdict(lts, sat, core.labels, k)
-    if not clean:
-        return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
-    truncated = False
-    if not exploration_is_exact(lts, k):
-        clean_next, kill_next = _universe_verdict(lts, sat, core.labels, k + 1)
-        truncated = (not clean_next) or kill_next != kill
-    computation = Computation(
-        states=core.states,
-        labels=core.labels,
-        dlists=_dlists_from_kill(core.labels, kill),
-        truncated=truncated,
+    evaluated = _evaluate_core(
+        lts, sat, core.labels, k, exploration_is_exact(lts, k)
     )
-    ac2c = _recheck_literal(lts, sat, computation, kill)
-    if not ac2c:
-        return None, ConditionReport(ac1=True, ac2a=True, ac2b=True, ac2c=False)
+    if evaluated is None:
+        return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
+    _, dlists, truncated = evaluated
+    computation = Computation(core.states, core.labels, dlists, truncated)
     return computation, ConditionReport(
         ac1=True, ac2a=True, ac2b=True, ac2c=True
     )
-
-
-def _recheck_literal(
-    lts: Lts, sat: frozenset, computation: Computation, kill: frozenset
-) -> bool:
-    """Re-derive the traces from the built extension lists and confirm each
-    escape trace really avoids the effect everywhere it can land."""
-    expanded = computation_traces(computation)
-    expected = kill if kill else {computation.labels}
-    if expanded != frozenset(expected):
-        raise RuntimeError("extension lists do not flatten back to the escape traces")
-    for word in kill:
-        reached = reach(lts, computation.states[0], word)
-        if not reached or reached & sat:
-            return False
-    return True
 
 
 def _is_proper_subsequence(shorter: Word, longer: Word) -> bool:
@@ -339,30 +321,19 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
 
 @lru_cache(maxsize=512)
 def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
-    lts, formula = ctx.lts, ctx.formula
-    sat = states_satisfying(lts, formula)
-    exactness = (
-        Exactness.EXACT if exploration_is_exact(lts, k) else Exactness.BOUNDED_APPROX
-    )
-    reachable = reachable_states(lts)
-    has_escape = bool(reachable - sat)
+    lts = ctx.lts
+    sat = states_satisfying(lts, ctx.formula)
+    exact = exploration_is_exact(lts, k)
+    exactness = Exactness.EXACT if exact else Exactness.BOUNDED_APPROX
 
     if lts.initial in sat:
         reports: tuple = ()
-        if has_escape:
-            reports = (
-                CauseReport(
-                    computation=trivial_computation(lts.initial),
-                    kill_traces=frozenset(),
-                    diagnostics=ConditionReport(True, True, True, True, True),
-                    bound=k,
-                ),
-            )
+        if reachable_states(lts) - sat:
+            reports = (CauseReport(trivial_computation(lts.initial), frozenset()),)
         return CauseSet(reports, ctx, k, exactness, immediate=True)
 
-    exact = exactness is Exactness.EXACT
     successful_words: set[Word] = set()
-    word_verdicts: dict[Word, tuple[bool, frozenset]] = {}
+    evaluated: dict[Word, Optional[tuple]] = {}
     accepted: list[CauseReport] = []
 
     level: list[tuple[tuple, Word]] = [((lts.initial,), ())]
@@ -371,7 +342,7 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
         for states, labels in level:
             for label, dst in lts.outgoing(states[-1]):
                 grown.append((states + (dst,), labels + (label,)))
-        grown.sort(key=lambda p: (p[1], tuple(state_key(s) for s in p[0])))
+        grown.sort(key=lambda p: (p[1], tuple(format_state(s) for s in p[0])))
         survivors: list[tuple[tuple, Word]] = []
         for states, labels in grown:
             if any(_is_proper_subsequence(w, labels) for w in successful_words):
@@ -379,31 +350,17 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
             survivors.append((states, labels))
             if states[-1] not in sat:
                 continue
-            # has_escape guarantees the counterfactual condition here: the
-            # initial state itself escapes the effect in this branch.
-            verdict = word_verdicts.get(labels)
-            if verdict is None:
-                verdict = _universe_verdict(lts, sat, labels, k)
-                word_verdicts[labels] = verdict
-            clean, kill = verdict
-            if not clean:
+            # AC2(a) holds here: the initial state itself escapes the effect.
+            if labels not in evaluated:
+                evaluated[labels] = _evaluate_core(lts, sat, labels, k, exact)
+            if evaluated[labels] is None:
                 continue
+            kill, dlists, truncated = evaluated[labels]
             successful_words.add(labels)
-            truncated = False
-            if not exact:
-                clean_next, kill_next = _universe_verdict(lts, sat, labels, k + 1)
-                truncated = (not clean_next) or kill_next != kill
             accepted.append(
                 CauseReport(
-                    computation=Computation(
-                        states=states,
-                        labels=labels,
-                        dlists=_dlists_from_kill(labels, kill),
-                        truncated=truncated,
-                    ),
+                    computation=Computation(states, labels, dlists, truncated),
                     kill_traces=kill,
-                    diagnostics=ConditionReport(True, True, True, True, True),
-                    bound=k,
                 )
             )
         level = survivors
@@ -434,7 +391,7 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # The checks below share no search machinery with the constructive path
 # above: words come from a breadth-first walk of all executable words, shape
 # membership is decided by a small dynamic program, traces are re-expanded
-# by head/tail recursion, and satisfaction is evaluated per state.
+# entry by entry, and satisfaction is evaluated per state.
 
 
 @lru_cache(maxsize=8)
@@ -480,19 +437,20 @@ def _matches_shape_bounded(word: Word, core_labels: Word, k: int) -> bool:
     return any(consumed == m for consumed, _ in states)
 
 
-def _expand_traces_rec(labels: Word, dlists: tuple) -> frozenset:
-    """Head/tail expansion of the extension lists."""
+def _expand_traces(labels: Word, dlists: tuple) -> frozenset:
+    """Head/tail expansion of the extension lists, walking the entry
+    position forward instead of recursing on the tails."""
     if all(len(dl) == 0 for dl in dlists):
         return frozenset({labels})
-    heads = tuple(dl[0] for dl in dlists)
-    tails = tuple(dl[1:] for dl in dlists)
-    first: list[str] = []
-    for label, gap in zip(labels, heads):
-        first.append(label)
-        first.extend(gap)
-    out = {tuple(first)}
-    if any(len(dl) > 0 for dl in tails):
-        out |= _expand_traces_rec(labels, tails)
+    out = set()
+    i = 0
+    while any(len(dl) > i for dl in dlists):
+        word: list[str] = []
+        for label, dl in zip(labels, dlists):
+            word.append(label)
+            word.extend(dl[i])
+        out.add(tuple(word))
+        i += 1
     return frozenset(out)
 
 
@@ -524,7 +482,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         details["valid_sizes"] = False
         return details
 
-    traced = _expand_traces_rec(c.labels, c.dlists)
+    traced = _expand_traces(c.labels, c.dlists)
     for word in traced:
         if not reach(lts, lts.initial, word):
             details["valid_traces"] = False
@@ -570,7 +528,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         for smaller in sorted(subwords(core_word)):
             if not any(
                 sat_map[path[-1]]
-                for path in _paths_from(lts, lts.initial, smaller)
+                for path in _paths_for_word(lts, lts.initial, smaller)
             ):
                 continue
             if _admits_candidate(lts, sat_map, table, smaller, k):
@@ -596,20 +554,6 @@ def _admits_candidate(
         elif len(flags) == 2:
             return False
     return True
-
-
-def _paths_from(lts: Lts, start: State, word: Word) -> list:
-    paths = []
-
-    def walk(prefix: tuple, i: int) -> None:
-        if i == len(word):
-            paths.append(prefix)
-            return
-        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=state_key):
-            walk(prefix + (nxt,), i + 1)
-
-    walk((start,), 0)
-    return paths
 
 
 def oracle_check_cause(ctx: EffectContext, c: Computation, k: int) -> bool:

@@ -16,6 +16,7 @@ import sys
 from .causality import causal_projection, causes, exploration_is_exact
 from .composition import (
     TheoremReport,
+    _precondition_report,
     check_preconditions,
     cross_check_disjunction_lifting,
     cross_check_single_component,
@@ -78,7 +79,8 @@ def _effective_bound(requested, lts: Lts) -> int:
     if not is_acyclic(lts):
         print(
             f"note: system has cycles; using default bound {k}, "
-            "results are bounded rather than exact"
+            "results are bounded rather than exact",
+            file=sys.stderr,
         )
     return k
 
@@ -258,13 +260,7 @@ def cmd_verify(args) -> int:
         raise ValueError("bound must be nonnegative")
     pre = check_preconditions(left_lts, right_lts, left_formula, right_formula)
     if not pre.ok:
-        report = TheoremReport(
-            theorem=args.theorem,
-            verdict="precondition",
-            witness=None,
-            counterexample={"preconditions": list(pre.issues)},
-            bound=k,
-        )
+        report = _precondition_report(args.theorem, pre, k)
         _render_theorem_report(report, True, args.format)
         return 1
     left = EffectContext(left_lts, left_formula)

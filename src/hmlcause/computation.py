@@ -13,7 +13,6 @@ from .lts import (
     _state_to_json,
     format_state,
     reach,
-    state_key,
     subwords,
 )
 
@@ -41,7 +40,7 @@ class Core:
         return self.states[-1]
 
     def sort_key(self):
-        return (self.labels, tuple(state_key(s) for s in self.states))
+        return (self.labels, tuple(format_state(s) for s in self.states))
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def _paths_for_word(lts: Lts, start: State, word: Word) -> list[tuple]:
         if i == len(word):
             paths.append(prefix)
             return
-        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=state_key):
+        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=format_state):
             walk(prefix + (nxt,), i + 1)
 
     walk((start,), 0)

@@ -62,6 +62,10 @@ class FormulaParseError(ValueError):
 
 _PUNCT = set("<>[]!&|()")
 
+# Satisfaction, formatting and hashing recurse once per nesting level, so a
+# parsed formula deeper than this is rejected before it reaches them.
+MAX_FORMULA_DEPTH = 100
+
 
 class _Tokenizer:
     def __init__(self, text: str) -> None:
@@ -103,14 +107,37 @@ def parse_formula(text: str) -> Formula:
     Grammar: tt, ff, <label>F, [label]F, !F, F & F, F | F and parentheses.
     Negation and the modalities bind tighter than conjunction, which binds
     tighter than disjunction; the binary operators associate to the left.
-    `ff` is shorthand for `!tt` and has no node of its own.
+    `ff` is shorthand for `!tt` and has no node of its own.  A formula that
+    nests deeper than MAX_FORMULA_DEPTH nodes is rejected.
     """
     tok = _Tokenizer(text)
-    formula = _parse_or(tok)
+    try:
+        formula = _parse_or(tok)
+    except RecursionError:
+        raise FormulaParseError("formula nests too deeply", tok.pos) from None
     kind, value, pos = tok.peek()
     if kind != "end":
         raise FormulaParseError(f"unexpected {value!r} after formula", pos)
+    if _depth(formula) > MAX_FORMULA_DEPTH:
+        raise FormulaParseError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", 0
+        )
     return formula
+
+
+def _depth(f: Formula) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        match node:
+            case Diamond(_, body) | Box(_, body) | Not(body):
+                stack.append((body, depth + 1))
+            case And(left, right) | Or(left, right):
+                stack.extend(((left, depth + 1), (right, depth + 1)))
+    return deepest
 
 
 def _parse_or(tok: _Tokenizer) -> Formula:

@@ -37,10 +37,6 @@ def format_state(s: State) -> str:
     return str(s)
 
 
-def state_key(s: State) -> str:
-    return format_state(s)
-
-
 def _state_to_json(s: State):
     if isinstance(s, tuple):
         return [_state_to_json(part) for part in s]
@@ -85,7 +81,7 @@ class Lts:
             out[src].add((label, dst))
         frozen_succ = {key: frozenset(v) for key, v in succ.items()}
         frozen_out = {
-            s: tuple(sorted(v, key=lambda e: (e[0], state_key(e[1]))))
+            s: tuple(sorted(v, key=lambda e: (e[0], format_state(e[1]))))
             for s, v in out.items()
         }
         object.__setattr__(self, "_succ", frozen_succ)
@@ -248,13 +244,7 @@ def choice(left: Lts, right: Lts) -> Lts:
         transitions,
         extra_labels=left.alphabet | right.alphabet,
     )
-    keep = reachable_states(full)
-    return Lts(
-        keep,
-        CHOICE_INITIAL,
-        full.alphabet,
-        frozenset(t for t in full.transitions if t[0] in keep and t[2] in keep),
-    )
+    return restrict_to_reachable(full)
 
 
 def restrict_to_reachable(lts: Lts) -> Lts:
@@ -416,11 +406,12 @@ def emit_dot(lts: Lts, highlight: Iterable[Transition] = ()) -> str:
             " is not in the system"
         )
     lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle];']
-    for s in sorted(lts.states, key=state_key):
+    for s in sorted(lts.states, key=format_state):
         shape = "doublecircle" if s == lts.initial else "circle"
         lines.append(f'  "{format_state(s)}" [shape={shape}];')
     for src, label, dst in sorted(
-        lts.transitions, key=lambda t: (state_key(t[0]), t[1], state_key(t[2]))
+        lts.transitions,
+        key=lambda t: (format_state(t[0]), t[1], format_state(t[2])),
     ):
         style = ', style=dashed' if (src, label, dst) in highlight else ""
         lines.append(
@@ -480,7 +471,7 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
     for s in right.states:
         by_sig.setdefault(rsig[s], []).append(s)
     for group in by_sig.values():
-        group.sort(key=state_key)
+        group.sort(key=format_state)
 
     lin: dict[State, list] = {s: [] for s in left.states}
     for src, label, dst in left.transitions:
@@ -490,7 +481,7 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
         rin[dst].append((label, src))
     rtrans = set(right.transitions)
 
-    order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), state_key(s)))
+    order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), format_state(s)))
     mapping: dict = {}
     used: set = set()
 

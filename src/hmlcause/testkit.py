@@ -27,7 +27,7 @@ from .hml import (
     parse_formula,
     satisfies,
 )
-from .lts import Lts, longest_acyclic_path, make_lts, reachable_states, state_key
+from .lts import Lts, format_state, longest_acyclic_path, make_lts, reachable_states
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def gen_effect(p: GenParams, lts: Lts) -> Formula:
     occurred initially but can occur somewhere reachable.  Deterministic in
     p; raises after a bounded number of rejected draws."""
     labels = sorted(lts.alphabet)
-    reachable = sorted(reachable_states(lts), key=state_key)
+    reachable = sorted(reachable_states(lts), key=format_state)
     for attempt in range(RETRY_BUDGET):
         rng = random.Random(f"effect/{p.seed}/{p.namespace}/{attempt}")
         formula = _random_formula(rng, labels, p.formula_depth)

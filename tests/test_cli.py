@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from helpers import FIXTURE_DIR, ROOT
+from hmlcause import parse_aut
 from hmlcause.cli import main
+from hmlcause.hml import MAX_FORMULA_DEPTH
 
 T1 = str(FIXTURE_DIR / "t1.aut")
 T2 = str(FIXTURE_DIR / "t2.aut")
@@ -62,6 +64,29 @@ def test_check_formula_parse_error(capsys):
     assert "unexpected '&'" in err
 
 
+@pytest.mark.parametrize(
+    "formula", ["!" * 5000 + "tt", "tt&" * 3000 + "tt"], ids=["parser", "parsed"]
+)
+def test_too_deep_formula_is_bad_input(capsys, formula):
+    code, out, err = run(capsys, "check", T1, formula)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_formula_at_depth_limit_still_evaluates(capsys):
+    # MAX_FORMULA_DEPTH nodes: the negations, the diamond and tt
+    formula = "!" * (MAX_FORMULA_DEPTH - 2) + "<h>tt"
+    code, out, _err = run(capsys, "check", T1, formula)
+    assert code == 1
+    code, out, _err = run(capsys, "causes", T1, formula, "--bound", "3")
+    assert code == 0
+    assert out.endswith("cause 1: core: a | kills: ah\n")
+    code, _out, err = run(capsys, "check", T1, "!" + formula)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_check_formula_from_file(capsys):
     code, out, _err = run(capsys, "check", T1, str(FIXTURE_DIR / "t1.formula"))
     assert code == 1
@@ -100,12 +125,24 @@ def test_causes_immediate_note(capsys):
 
 
 def test_causes_default_bound_warns_on_cycles(capsys):
-    code, out, _err = run(capsys, "causes", T2, "<h>tt")
+    code, _out, err = run(capsys, "causes", T2, "<h>tt")
     assert code == 1
-    assert out.startswith(
+    assert err.startswith(
         "note: system has cycles; using default bound 2, "
         "results are bounded rather than exact\n"
     )
+
+
+@pytest.mark.parametrize("name", ["t2", "t5"])
+def test_cycle_note_leaves_machine_output_parseable(capsys, name):
+    lts = str(FIXTURE_DIR / f"{name}.aut")
+    _code, out, err = run(capsys, "causes", lts, "<h>tt", "--format", "json")
+    assert err.startswith("note: system has cycles")
+    assert json.loads(out)["effect"] == "<h>tt"
+    code, out, err = run(capsys, "project", lts, "<h>tt")
+    assert code == 0
+    assert err.startswith("note: system has cycles")
+    parse_aut(out)
 
 
 def test_causes_json_schema(capsys):
