@@ -209,27 +209,6 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
             )
 
 
-def _universe_verdict(lts: Lts, sat: frozenset, core_labels: Word, k: int):
-    """(clean, kill): kill collects the bounded words that always escape the
-    effect; clean is False when the core or any remaining word can reach
-    both effect and non-effect states."""
-    kill: list[Word] = []
-    clean = True
-    for word, reached in _shaped_words(lts, core_labels, k).items():
-        if word == core_labels:
-            # the bare core is judged with the complement: it must always satisfy
-            if not reached <= sat:
-                clean = False
-            continue
-        if reached <= sat:
-            continue
-        if reached & sat:
-            clean = False
-            continue
-        kill.append(word)
-    return clean, frozenset(kill)
-
-
 def _dlists_from_kill(core_labels: Word, kill: frozenset) -> tuple:
     ordered = sorted(kill)
     per_trace = []
@@ -243,24 +222,138 @@ def _dlists_from_kill(core_labels: Word, kill: frozenset) -> tuple:
     )
 
 
+class _StateSets:
+    """One system's states numbered once, state sets as int bitmasks, and
+    the one-letter moves out of each set memoised per set.
+
+    An instance lives for one `causes` or `cause_candidate` call and is
+    shared by every core that call judges.  It is never stored on the Lts,
+    which module-level caches keep alive.
+    """
+
+    def __init__(self, lts: Lts, sat: frozenset) -> None:
+        index = {s: i for i, s in enumerate(lts.states)}
+        succ: dict[str, list[int]] = {}
+        for src, label, dst in lts.transitions:
+            row = succ.setdefault(label, [0] * len(index))
+            row[index[src]] |= 1 << index[dst]
+        self._succ = sorted(succ.items())
+        self._moves: dict[int, tuple] = {}
+        self.initial = 1 << index[lts.initial]
+        self.sat = sum(1 << index[s] for s in sat)
+
+    def moves(self, mask: int) -> tuple:
+        """(label, successor set) for every label some state of mask enables,
+        in label order."""
+        found = self._moves.get(mask)
+        if found is None:
+            bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            found = []
+            for label, row in self._succ:
+                nxt = 0
+                for i in bits:
+                    nxt |= row[i]
+                if nxt:
+                    found.append((label, nxt))
+            found = self._moves[mask] = tuple(found)
+        return found
+
+
 def _evaluate_core(
-    lts: Lts, sat: frozenset, labels: Word, k: int, exact: bool
+    space: _StateSets, labels: Word, k: int, exact: bool
 ) -> Optional[tuple]:
     """Judge one label word at bound k: None when AC2(b) fails, otherwise
     (kill, dlists, truncated).  On a bound that is not exact, truncated says
     whether the verdict or the kill set changes at k+1.
 
+    The shaped words of `_shaped_words` at k and at k+1 are explored at once
+    as a DAG.  A node is (reached set, shape positions at k, shape positions
+    at k+1, word length capped at m+1); a shape position is a (consumed,
+    gap) pair, and a set of them is a bitmask with one row of gaps per
+    consumed count, so every word follows exactly one path.  Each letter
+    moves the lowest position strictly forward, so there are no cycles.  A
+    word reaches the same states whatever the bound and the universe at k
+    lies inside the one at k+1, so the bound is truncating exactly when a
+    node accepted at k+1 but not at k reaches a state outside the effect.
+    Only kill words are spelled out.
+
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
     """
-    clean, kill = _universe_verdict(lts, sat, labels, k)
-    if not clean:
-        return None
+    m = len(labels)
+    k_next = k if exact else k + 1
+    width = k_next + 1
+    row = (1 << width) - 1
+    accepting = row << (m * width)
+    # positions (c, g) with c >= 1 whose gap may still grow under each bound
+    grow = sum(((1 << k) - 1) << (c * width) for c in range(1, m + 1))
+    grow_next = sum(((1 << k_next) - 1) << (c * width) for c in range(1, m + 1))
+    # core letter c moves every (c, g) to (c + 1, 0)
+    advance: dict[str, list[tuple[int, int]]] = {}
+    for c, label in enumerate(labels):
+        advance.setdefault(label, []).append(
+            (row << (c * width), 1 << ((c + 1) * width))
+        )
+
+    def shift(positions: int, label: str, growable: int) -> int:
+        nxt = (positions & growable) << 1
+        for source, target in advance.get(label, ()):
+            if positions & source:
+                nxt |= target
+        return nxt
+
+    sat = space.sat
+    root = (space.initial, 1, 1, 0)
+    edges: dict[tuple, list] = {root: []}
+    kill_nodes: set = set()
     truncated = False
-    if not exact:
-        clean_next, kill_next = _universe_verdict(lts, sat, labels, k + 1)
-        truncated = (not clean_next) or kill_next != kill
-    return kill, _dlists_from_kill(labels, kill), truncated
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        reached, positions, positions_next, length = node
+        inside = reached & sat
+        if positions & accepting:
+            if length == m:
+                if inside != reached:
+                    return None
+            elif not inside:
+                kill_nodes.add(node)
+            elif inside != reached:
+                return None
+        elif positions_next & accepting and inside != reached:
+            truncated = True
+        out = edges[node]
+        longer = min(length + 1, m + 1)
+        for label, nxt in space.moves(reached):
+            nxt_positions_next = shift(positions_next, label, grow_next)
+            if not nxt_positions_next:
+                continue
+            # on an exact bound k + 1 is k, so both position sets coincide
+            nxt_positions = (
+                nxt_positions_next if exact else shift(positions, label, grow)
+            )
+            child = (nxt, nxt_positions, nxt_positions_next, longer)
+            out.append((label, child))
+            if child not in edges:
+                edges[child] = []
+                stack.append(child)
+
+    # children before parents: an edge raises the lowest position at k+1
+    productive = set(kill_nodes)
+    for node in sorted(edges, key=lambda n: n[2] & -n[2], reverse=True):
+        if any(child in productive for _, child in edges[node]):
+            productive.add(node)
+    kill: list[Word] = []
+    spell = [(root, ())] if root in productive else []
+    while spell:
+        node, word = spell.pop()
+        if node in kill_nodes:
+            kill.append(word)
+        for label, child in edges[node]:
+            if child in productive:
+                spell.append((child, word + (label,)))
+    kill_set = frozenset(kill)
+    return kill_set, _dlists_from_kill(labels, kill_set), truncated
 
 
 def cause_candidate(
@@ -281,7 +374,7 @@ def cause_candidate(
     if not reachable_states(lts) - sat:
         return None, ConditionReport(ac1=True, ac2a=False)
     evaluated = _evaluate_core(
-        lts, sat, core.labels, k, exploration_is_exact(lts, k)
+        _StateSets(lts, sat), core.labels, k, exploration_is_exact(lts, k)
     )
     if evaluated is None:
         return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
@@ -332,6 +425,8 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
             reports = (CauseReport(trivial_computation(lts.initial), frozenset()),)
         return CauseSet(reports, ctx, k, exactness, immediate=True)
 
+    space = _StateSets(lts, sat)
+    names = {s: format_state(s) for s in lts.states}
     successful_words: set[Word] = set()
     evaluated: dict[Word, Optional[tuple]] = {}
     accepted: list[CauseReport] = []
@@ -342,7 +437,7 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
         for states, labels in level:
             for label, dst in lts.outgoing(states[-1]):
                 grown.append((states + (dst,), labels + (label,)))
-        grown.sort(key=lambda p: (p[1], tuple(format_state(s) for s in p[0])))
+        grown.sort(key=lambda p: (p[1], tuple(names[s] for s in p[0])))
         survivors: list[tuple[tuple, Word]] = []
         for states, labels in grown:
             if any(_is_proper_subsequence(w, labels) for w in successful_words):
@@ -352,7 +447,7 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
                 continue
             # AC2(a) holds here: the initial state itself escapes the effect.
             if labels not in evaluated:
-                evaluated[labels] = _evaluate_core(lts, sat, labels, k, exact)
+                evaluated[labels] = _evaluate_core(space, labels, k, exact)
             if evaluated[labels] is None:
                 continue
             kill, dlists, truncated = evaluated[labels]

@@ -111,10 +111,7 @@ def parse_formula(text: str) -> Formula:
     nests deeper than MAX_FORMULA_DEPTH nodes is rejected.
     """
     tok = _Tokenizer(text)
-    try:
-        formula = _parse_or(tok)
-    except RecursionError:
-        raise FormulaParseError("formula nests too deeply", tok.pos) from None
+    formula = _parse(tok)
     kind, value, pos = tok.peek()
     if kind != "end":
         raise FormulaParseError(f"unexpected {value!r} after formula", pos)
@@ -140,26 +137,75 @@ def _depth(f: Formula) -> int:
     return deepest
 
 
-def _parse_or(tok: _Tokenizer) -> Formula:
-    node = _parse_and(tok)
-    while True:
-        kind, value, _ = tok.peek()
-        if kind == "punct" and value == "|":
-            tok.take()
-            node = Or(node, _parse_and(tok))
-        else:
-            return node
+class _Group:
+    """One parenthesis level being parsed: the disjunction and conjunction
+    built so far and the prefix operators, as (node class, label), waiting
+    for the next operand."""
+
+    def __init__(self) -> None:
+        self.prefixes: list = []
+        self.conjunction = None
+        self.disjunction = None
+
+    def close(self) -> Formula:
+        if self.disjunction is None:
+            return self.conjunction
+        return Or(self.disjunction, self.conjunction)
 
 
-def _parse_and(tok: _Tokenizer) -> Formula:
-    node = _parse_unary(tok)
+def _parse(tok: _Tokenizer) -> Formula:
+    """Operator-precedence parse of one formula with an explicit stack of
+    open parentheses, so nesting never deepens the Python stack."""
+    outer: list[_Group] = []
+    group = _Group()
     while True:
-        kind, value, _ = tok.peek()
-        if kind == "punct" and value == "&":
+        kind, value, pos = tok.peek()
+        if kind == "punct" and value in "!<[(":
             tok.take()
-            node = And(node, _parse_unary(tok))
+            if value == "(":
+                outer.append(group)
+                group = _Group()
+            elif value == "!":
+                group.prefixes.append((Not, None))
+            else:
+                label = _parse_modality_label(tok, ">" if value == "<" else "]")
+                group.prefixes.append((Diamond if value == "<" else Box, label))
+            continue
+        if kind == "punct":
+            raise FormulaParseError(f"unexpected {value!r}", pos)
+        if kind == "end":
+            raise FormulaParseError("unexpected end of input", pos)
+        tok.take()
+        if value == "tt":
+            operand = TT
+        elif value == "ff":
+            operand = FF
         else:
-            return node
+            raise FormulaParseError(f"unexpected {value!r}", pos)
+        while True:
+            for node, label in reversed(group.prefixes):
+                operand = Not(operand) if node is Not else node(label, operand)
+            group.prefixes = []
+            if group.conjunction is None:
+                group.conjunction = operand
+            else:
+                group.conjunction = And(group.conjunction, operand)
+            kind, value, _ = tok.peek()
+            if kind == "punct" and value == "&":
+                tok.take()
+                break
+            if kind == "punct" and value == "|":
+                tok.take()
+                group.disjunction = group.close()
+                group.conjunction = None
+                break
+            if not outer:
+                return group.close()
+            kind, close, cpos = tok.take()
+            if kind != "punct" or close != ")":
+                raise FormulaParseError("expected ')'", cpos)
+            operand = group.close()
+            group = outer.pop()
 
 
 def _parse_modality_label(tok: _Tokenizer, closing: str) -> str:
@@ -174,38 +220,6 @@ def _parse_modality_label(tok: _Tokenizer, closing: str) -> str:
     if kind != "punct" or close != closing:
         raise FormulaParseError(f"expected {closing!r} to close the modality", pos)
     return value
-
-
-def _parse_unary(tok: _Tokenizer) -> Formula:
-    kind, value, pos = tok.peek()
-    if kind == "punct":
-        if value == "!":
-            tok.take()
-            return Not(_parse_unary(tok))
-        if value == "<":
-            tok.take()
-            label = _parse_modality_label(tok, ">")
-            return Diamond(label, _parse_unary(tok))
-        if value == "[":
-            tok.take()
-            label = _parse_modality_label(tok, "]")
-            return Box(label, _parse_unary(tok))
-        if value == "(":
-            tok.take()
-            node = _parse_or(tok)
-            kind, close, cpos = tok.take()
-            if kind != "punct" or close != ")":
-                raise FormulaParseError("expected ')'", cpos)
-            return node
-        raise FormulaParseError(f"unexpected {value!r}", pos)
-    if kind == "word":
-        tok.take()
-        if value == "tt":
-            return TT
-        if value == "ff":
-            return FF
-        raise FormulaParseError(f"unexpected {value!r}", pos)
-    raise FormulaParseError("unexpected end of input", pos)
 
 
 def _prec(f: Formula) -> int:

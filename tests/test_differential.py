@@ -1,0 +1,246 @@
+"""The cause engine against word-level references and the oracle, on cyclic,
+nondeterministic systems, plus metamorphic checks of the cause sets."""
+
+from __future__ import annotations
+
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hmlcause import (
+    Core,
+    EffectContext,
+    GenParams,
+    Lts,
+    cause_candidate,
+    causal_projection,
+    causes,
+    gen_effect,
+    gen_lts,
+    isomorphic,
+    make_lts,
+    oracle_check_cause,
+    satisfies,
+)
+from hmlcause.causality import (
+    _admits_candidate,
+    _dlists_from_kill,
+    _evaluate_core,
+    _executable_words,
+    _shaped_words,
+    _StateSets,
+)
+
+# ---------------------------------------------------------------- kernel
+
+
+def _word_level_verdict(universe: dict, sat: frozenset, labels: tuple):
+    """(clean, kill) over a spelled-out universe of shaped words: the core
+    word must always satisfy the effect, every other word must always
+    satisfy it or always escape it, and the escaping ones are the kills."""
+    kill = set()
+    clean = True
+    for word, reached in universe.items():
+        if word == labels:
+            if not reached <= sat:
+                clean = False
+        elif not reached & sat:
+            kill.add(word)
+        elif not reached <= sat:
+            clean = False
+    return clean, frozenset(kill)
+
+
+def _word_level_evaluate(universe, universe_next, sat, labels, exact):
+    """What `_evaluate_core` returns, from the universes at k and k+1."""
+    clean, kill = _word_level_verdict(universe, sat, labels)
+    if not clean:
+        return None
+    truncated = False
+    if not exact:
+        clean_next, kill_next = _word_level_verdict(universe_next, sat, labels)
+        truncated = (not clean_next) or kill_next != kill
+    return kill, _dlists_from_kill(labels, kill), truncated
+
+
+@st.composite
+def _systems(draw):
+    """A system on at most 5 states and 3 labels, where cycles, self-loops,
+    nondeterminism and unreachable states all occur, with an effect state
+    set."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    states = [f"s{i}" for i in range(n)]
+    state = st.sampled_from(states)
+    transitions = draw(
+        st.lists(st.tuples(state, st.sampled_from(labels), state), max_size=9)
+    )
+    lts = make_lts("s0", transitions, extra_labels=labels, extra_states=states)
+    return lts, frozenset(draw(st.sets(st.sampled_from(states))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    system=_systems(),
+    k=st.integers(0, 3),
+    longest=st.lists(st.sampled_from("abc"), min_size=3, max_size=3),
+)
+def test_kernel_matches_word_level_reference(system, k, longest):
+    # every label word of length 0 to 2 as a core, executable or not, and
+    # one of length 3 below bound 3: at bound 3 its reference would spell
+    # out over half a million words of k+1 on a dense system
+    lts, sat = system
+    space = _StateSets(lts, sat)
+    alphabet = sorted(lts.alphabet)
+    cores = [
+        labels for m in range(3) for labels in itertools.product(alphabet, repeat=m)
+    ]
+    if k < 3:
+        cores.append(tuple(longest))
+    for labels in cores:
+        universe = _shaped_words(lts, labels, k)
+        universe_next = _shaped_words(lts, labels, k + 1)
+        for exact in (True, False):
+            assert _evaluate_core(space, labels, k, exact) == _word_level_evaluate(
+                universe, universe_next, sat, labels, exact
+            )
+
+
+def test_kernel_truncates_when_the_next_bound_adds_a_kill_word():
+    # s0 -a-> s1, s1 -i-> s1, s1 -h-> s2: the kill word a i^k h exists only
+    # at k+1, so every finite bound truncates
+    lts = make_lts("s0", [("s0", "a", "s1"), ("s1", "i", "s1"), ("s1", "h", "s2")])
+    space = _StateSets(lts, frozenset({"s1"}))
+    for k in range(4):
+        kill, _, truncated = _evaluate_core(space, ("a",), k, False)
+        assert kill == frozenset(("a",) + ("i",) * j + ("h",) for j in range(k))
+        assert truncated
+
+
+def test_kernel_truncates_when_the_next_bound_adds_a_mixed_word():
+    # a and a i stay in the effect; a i b reaches s3 (effect) and s4 (not),
+    # so bound 1 is clean with no kills but bound 2 rejects the core
+    lts = make_lts(
+        "s0",
+        [("s0", "a", "s1"), ("s1", "i", "s2"), ("s2", "b", "s3"), ("s2", "b", "s4")],
+    )
+    space = _StateSets(lts, frozenset({"s1", "s2", "s3"}))
+    assert _evaluate_core(space, ("a",), 1, False) == (frozenset(), ((),), True)
+    assert _evaluate_core(space, ("a",), 1, True) == (frozenset(), ((),), False)
+    assert _evaluate_core(space, ("a",), 2, False) is None
+
+
+# ---------------------------------------------------------------- oracle
+
+
+@st.composite
+def _contexts(draw):
+    """A generated system that may have cycles, made nondeterministic by one
+    extra transition that reuses the label of an existing one and may close
+    a cycle, with a generated effect."""
+    params = GenParams(
+        seed=draw(st.integers(0, 10**6)), max_states=5, max_out_degree=3, acyclic=False
+    )
+    lts = gen_lts(params)
+    src, label, dst = draw(st.sampled_from(sorted(lts.transitions)))
+    other = draw(st.sampled_from(sorted(lts.states - {dst})))
+    lts = Lts(
+        lts.states, lts.initial, lts.alphabet, lts.transitions | {(src, label, other)}
+    )
+    try:
+        return EffectContext(lts, gen_effect(params, lts))
+    except RuntimeError:
+        assume(False)
+
+
+def _path_cores(lts: Lts, k: int):
+    level = [((lts.initial,), ())]
+    for _ in range(k + 1):
+        yield from (Core(states, labels) for states, labels in level)
+        level = [
+            (states + (dst,), labels + (label,))
+            for states, labels in level
+            for label, dst in lts.outgoing(states[-1])
+        ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ctx=_contexts(), k=st.integers(0, 3))
+def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
+    lts = ctx.lts
+    emitted = {}
+    for report in causes(ctx, k).causes:
+        comp = report.computation
+        assert oracle_check_cause(ctx, comp, k)
+        emitted[comp.core] = comp
+
+    sat_map = {s: satisfies(lts, s, ctx.formula) for s in lts.states}
+    for core in _path_cores(lts, k):
+        m = len(core.labels)
+        table = _executable_words(lts, m + m * k)
+        admits = sat_map[core.final] and _admits_candidate(
+            lts, sat_map, table, core.labels, k
+        )
+        comp, _ = cause_candidate(ctx, core, k)
+        assert (comp is not None) == admits
+        if comp is not None and oracle_check_cause(ctx, comp, k):
+            assert emitted.get(core) == comp
+
+
+# ---------------------------------------------------------------- metamorphic
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ctx=_contexts())
+def test_kill_set_of_a_core_grows_with_the_bound(ctx):
+    seen: dict = {}
+    for k in range(5):
+        for report in causes(ctx, k).causes:
+            core = report.computation.core
+            if core in seen:
+                assert seen[core] <= report.kill_traces
+            seen[core] = report.kill_traces
+
+
+def _with_unreachable_states(lts: Lts) -> Lts:
+    label = min(lts.alphabet)
+    some = min(lts.states, key=str)
+    extra = {("u0", label, "u1"), ("u1", label, "u0"), ("u1", label, some)}
+    return Lts(
+        lts.states | {"u0", "u1"},
+        lts.initial,
+        lts.alphabet,
+        lts.transitions | extra,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ctx=_contexts(), k=st.integers(0, 4))
+def test_unreachable_states_change_no_cause_set(ctx, k):
+    grown = EffectContext(_with_unreachable_states(ctx.lts), ctx.formula)
+    assert causes(grown, k).to_json() == causes(ctx, k).to_json()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ctx=_contexts(), k=st.integers(0, 4))
+def test_renamed_states_give_an_isomorphic_projection(ctx, k):
+    lts = ctx.lts
+    # reverse the name order so that core sorting sees a different order
+    names = sorted(lts.states)
+    rename = dict(zip(names, (f"r{len(names) - i}" for i in range(len(names)))))
+    renamed = Lts(
+        frozenset(rename.values()),
+        rename[lts.initial],
+        lts.alphabet,
+        frozenset((rename[s], a, rename[t]) for s, a, t in lts.transitions),
+    )
+    projection = causal_projection(ctx, k)
+    renamed_projection = causal_projection(EffectContext(renamed, ctx.formula), k)
+    assert isomorphic(projection, renamed_projection) is not None
+    assert renamed_projection == Lts(
+        frozenset(rename[s] for s in projection.states),
+        rename[projection.initial],
+        projection.alphabet,
+        frozenset((rename[s], a, rename[t]) for s, a, t in projection.transitions),
+    )

@@ -81,6 +81,20 @@ def test_trailing_garbage_rejected():
         parse_formula("<a>tt extra")
 
 
+def test_deep_parentheses_parse_to_their_content():
+    # 400 levels of grouping around a tree of depth 1
+    assert parse_formula("(" * 400 + "tt" + ")" * 400) == Top()
+
+
+def test_parse_does_not_depend_on_the_callers_stack_depth():
+    text = "(" * 400 + "<a>(tt | !tt)" + ")" * 400
+
+    def from_depth(frames: int):
+        return parse_formula(text) if frames == 0 else from_depth(frames - 1)
+
+    assert from_depth(800) == parse_formula(text) == Diamond("a", Or(Top(), Not(Top())))
+
+
 def test_whitespace_insignificant():
     assert parse_formula(" [ a ] tt ") == parse_formula("[a]tt")
 
