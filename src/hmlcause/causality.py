@@ -17,7 +17,6 @@ from typing import Optional
 from .computation import (
     Computation,
     Core,
-    _paths_for_word,
     size_compatible,
     trivial_computation,
 )
@@ -173,31 +172,6 @@ def extension_universe(lts: Lts, core: Core, k: int) -> frozenset:
     return frozenset(_shaped_words(lts, core.labels, k))
 
 
-def _decompose_greedy(core_labels: Word, word: Word) -> Optional[tuple]:
-    """Split word as core letters with interleaved gaps, matching every core
-    letter at its leftmost possible position.  None when word lacks the
-    shape."""
-    m = len(core_labels)
-    positions: list[int] = []
-    i = 0
-    for letter in core_labels:
-        j = i
-        while j < len(word) and word[j] != letter:
-            j += 1
-        if j == len(word):
-            return None
-        positions.append(j)
-        i = j + 1
-    if m and positions[0] != 0:
-        return None
-    gaps = []
-    for t in range(m):
-        lo = positions[t] + 1
-        hi = positions[t + 1] if t + 1 < m else len(word)
-        gaps.append(tuple(word[lo:hi]))
-    return tuple(gaps)
-
-
 def _require_valid_core(lts: Lts, core: Core) -> None:
     if core.first != lts.initial:
         raise ValueError("cores are anchored at the initial state")
@@ -207,19 +181,6 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
                 f"core step ({format_state(core.states[i])},{label},"
                 f"{format_state(core.states[i + 1])}) is not a transition"
             )
-
-
-def _dlists_from_kill(core_labels: Word, kill: frozenset) -> tuple:
-    ordered = sorted(kill)
-    per_trace = []
-    for word in ordered:
-        gaps = _decompose_greedy(core_labels, word)
-        if gaps is None:
-            raise RuntimeError(f"escape trace {word!r} does not embed the core")
-        per_trace.append(gaps)
-    return tuple(
-        tuple(gaps[i] for gaps in per_trace) for i in range(len(core_labels))
-    )
 
 
 class _StateSets:
@@ -275,7 +236,9 @@ def _evaluate_core(
     word reaches the same states whatever the bound and the universe at k
     lies inside the one at k+1, so the bound is truncating exactly when a
     node accepted at k+1 but not at k reaches a state outside the effect.
-    Only kill words are spelled out.
+    Only kill words are spelled out, in sorted order, and each one's
+    extension-list entries are cut at the leftmost match of every core
+    letter along its path.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
@@ -343,17 +306,26 @@ def _evaluate_core(
     for node in sorted(edges, key=lambda n: n[2] & -n[2], reverse=True):
         if any(child in productive for _, child in edges[node]):
             productive.add(node)
+    # depth first in label order, so the kill words come out sorted; each
+    # path carries where it matched the core letters, leftmost first
     kill: list[Word] = []
-    spell = [(root, ())] if root in productive else []
+    entries: list[tuple] = []
+    spell = [(root, (), ())] if root in productive else []
     while spell:
-        node, word = spell.pop()
+        node, word, matched = spell.pop()
         if node in kill_nodes:
+            cuts = matched + (len(word),)
             kill.append(word)
-        for label, child in edges[node]:
-            if child in productive:
-                spell.append((child, word + (label,)))
-    kill_set = frozenset(kill)
-    return kill_set, _dlists_from_kill(labels, kill_set), truncated
+            entries.append(tuple(word[cuts[t] + 1 : cuts[t + 1]] for t in range(m)))
+        for label, child in reversed(edges[node]):
+            if child not in productive:
+                continue
+            if len(matched) < m and label == labels[len(matched)]:
+                spell.append((child, word + (label,), matched + (len(word),)))
+            else:
+                spell.append((child, word + (label,), matched))
+    dlists = tuple(tuple(gaps[t] for gaps in entries) for t in range(m))
+    return frozenset(kill), dlists, truncated
 
 
 def cause_candidate(
@@ -484,52 +456,112 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # Independent re-verification
 #
 # The checks below share no search machinery with the constructive path
-# above: words come from a breadth-first walk of all executable words, shape
-# membership is decided by a small dynamic program, traces are re-expanded
-# entry by entry, and satisfaction is evaluated per state.
+# above.  Words stay explicit: the executable words of a system are the rows
+# of one trie, kept per system, and the words of a core's shape are found by
+# walking down that trie.  The walk carries a small dynamic program over
+# (consumed core letters, gap since the last one) and keeps only the smallest
+# gap per consumed count, since a smaller gap admits every continuation a
+# larger one does; a subtree where the program runs empty is skipped whole.
+# Traces are re-expanded entry by entry, and satisfaction is evaluated per
+# state.
+
+
+class _OracleView:
+    """The oracle's own view of one system: its reachable states, its longest
+    path, one satisfaction map per formula, and a trie of its executable
+    words.
+
+    Trie rows are [last letter, reached states, index just past the row's
+    subtree] in depth-first order with letters sorted; row 0 is the empty
+    word.  The trie is rebuilt only when a deeper one is asked for.
+    """
+
+    def __init__(self, lts: Lts) -> None:
+        self.lts = lts
+        self.reachable = reachable_states(lts)
+        self.longest = longest_acyclic_path(lts)
+        self._sat_maps: dict = {}
+        self._rows: list[list] = []
+        self._depth = -1
+
+    def sat_map(self, formula) -> dict:
+        found = self._sat_maps.get(formula)
+        if found is None:
+            found = self._sat_maps[formula] = {
+                s: satisfies(self.lts, s, formula) for s in self.lts.states
+            }
+        return found
+
+    def _trie(self, depth: int) -> list[list]:
+        if depth <= self._depth:
+            return self._rows
+        lts = self.lts
+        rows: list[list] = []
+        ancestors: list[tuple[int, int]] = []  # (length, row) still open
+        # the one-letter moves of each reached set, so equal sets share them
+        moves_of: dict[frozenset, list] = {}
+        stack = [(None, frozenset({lts.initial}), 0)]
+        while stack:
+            letter, reached, length = stack.pop()
+            while ancestors and ancestors[-1][0] >= length:
+                rows[ancestors.pop()[1]][2] = len(rows)
+            ancestors.append((length, len(rows)))
+            rows.append([letter, reached, 0])
+            if length < depth:
+                found = moves_of.get(reached)
+                if found is None:
+                    moves: dict[str, set] = {}
+                    for s in reached:
+                        for label, dst in lts.outgoing(s):
+                            moves.setdefault(label, set()).add(dst)
+                    # descending, so the smallest letter is popped first
+                    found = moves_of[reached] = [
+                        (label, frozenset(moves[label]))
+                        for label in sorted(moves, reverse=True)
+                    ]
+                for label, stepped in found:
+                    stack.append((label, stepped, length + 1))
+        for _, i in ancestors:
+            rows[i][2] = len(rows)
+        self._rows, self._depth = rows, depth
+        return rows
+
+    def shaped_words(self, core_labels: Word, k: int):
+        """Yield (word, reached) for every executable word that starts with
+        the first core letter and embeds the rest in order, with at most k
+        letters after each core letter; an empty core yields the empty word
+        alone."""
+        m = len(core_labels)
+        depth = m + m * k
+        if self.longest is not None:
+            # nothing executes past the longest path
+            depth = min(depth, self.longest)
+        rows = self._trie(depth)
+        # gap k at zero consumed letters: no letter may come before the first
+        stack = [(0, (), ((0, k),))]
+        while stack:
+            i, word, shape = stack.pop()
+            _, reached, end = rows[i]
+            if shape[-1][0] == m:
+                yield word, reached
+            child = i + 1
+            while child < end:
+                letter, _, after = rows[child]
+                nxt: list[tuple[int, int]] = []
+                for consumed, gap in shape:
+                    # a (consumed, 0) added just before dominates this gap
+                    if gap < k and not (nxt and nxt[-1][0] == consumed):
+                        nxt.append((consumed, gap + 1))
+                    if consumed < m and letter == core_labels[consumed]:
+                        nxt.append((consumed + 1, 0))
+                if nxt:
+                    stack.append((child, word + (letter,), tuple(nxt)))
+                child = after
 
 
 @lru_cache(maxsize=8)
-def _executable_words(lts: Lts, maxlen: int) -> tuple:
-    """Every executable word up to maxlen with the states it reaches."""
-    rows: list[tuple[Word, frozenset]] = []
-    frontier: list[tuple[Word, frozenset]] = [((), frozenset({lts.initial}))]
-    rows.extend(frontier)
-    labels = sorted(lts.alphabet)
-    for _ in range(maxlen):
-        if not frontier:
-            break
-        nxt: list[tuple[Word, frozenset]] = []
-        for word, reached in frontier:
-            for label in labels:
-                stepped = step(lts, reached, label)
-                if stepped:
-                    nxt.append((word + (label,), stepped))
-        rows.extend(nxt)
-        frontier = nxt
-    return tuple(rows)
-
-
-def _matches_shape_bounded(word: Word, core_labels: Word, k: int) -> bool:
-    """Dynamic program deciding whether word embeds the core letters in
-    order with every inter-letter gap at most k."""
-    m = len(core_labels)
-    if m == 0:
-        return word == ()
-    if not word or word[0] != core_labels[0]:
-        return False
-    states = {(1, 0)}
-    for letter in word[1:]:
-        nxt = set()
-        for consumed, gap in states:
-            if consumed < m and letter == core_labels[consumed]:
-                nxt.add((consumed + 1, 0))
-            if gap < k:
-                nxt.add((consumed, gap + 1))
-        states = nxt
-        if not states:
-            return False
-    return any(consumed == m for consumed, _ in states)
+def _oracle_view(lts: Lts) -> _OracleView:
+    return _OracleView(lts)
 
 
 def _expand_traces(labels: Word, dlists: tuple) -> frozenset:
@@ -577,30 +609,22 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         details["valid_sizes"] = False
         return details
 
-    traced = _expand_traces(c.labels, c.dlists)
-    for word in traced:
-        if not reach(lts, lts.initial, word):
+    traced: dict[Word, frozenset] = {}
+    for word in _expand_traces(c.labels, c.dlists):
+        reached = reach(lts, lts.initial, word)
+        if not reached:
             details["valid_traces"] = False
             return details
+        traced[word] = reached
 
-    sat_map = {s: satisfies(lts, s, formula) for s in lts.states}
+    view = _oracle_view(lts)
+    sat_map = view.sat_map(formula)
     details["ac1"] = sat_map[c.states[-1]]
-    details["ac2a"] = any(not sat_map[s] for s in reachable_states(lts))
+    details["ac2a"] = any(not sat_map[s] for s in view.reachable)
 
-    m = len(c.labels)
-    maxlen = m + m * k
-    longest = longest_acyclic_path(lts)
-    if longest is not None:
-        # nothing executes past the longest path; clamping keeps one shared
-        # word table per system regardless of core length
-        maxlen = min(maxlen, longest)
-    table = _executable_words(lts, maxlen)
     core_word = c.labels
-
     ac2b = True
-    for word, reached in table:
-        if not _matches_shape_bounded(word, core_word, k):
-            continue
+    for word, reached in view.shaped_words(core_word, k):
         if word != core_word and word in traced:
             continue
         if any(not sat_map[s] for s in reached):
@@ -609,10 +633,9 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     details["ac2b"] = ac2b
 
     ac2c = True
-    for word in traced:
+    for word, reached in traced.items():
         if word == core_word:
             continue
-        reached = reach(lts, lts.initial, word)
         if any(sat_map[s] for s in reached):
             ac2c = False
             break
@@ -621,12 +644,9 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     ac3 = True
     if details["ac2a"]:
         for smaller in sorted(subwords(core_word)):
-            if not any(
-                sat_map[path[-1]]
-                for path in _paths_for_word(lts, lts.initial, smaller)
-            ):
+            if not any(sat_map[s] for s in reach(lts, lts.initial, smaller)):
                 continue
-            if _admits_candidate(lts, sat_map, table, smaller, k):
+            if _admits_candidate(view, sat_map, smaller, k):
                 ac3 = False
                 break
     details["ac3"] = ac3
@@ -634,14 +654,12 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
 
 
 def _admits_candidate(
-    lts: Lts, sat_map: dict, table: tuple, core_word: Word, k: int
+    view: _OracleView, sat_map: dict, core_word: Word, k: int
 ) -> bool:
     """Extension lists for this label word exist exactly when no bounded
     shaped word straddles the effect boundary and the word itself always
     satisfies the effect."""
-    for word, reached in table:
-        if not _matches_shape_bounded(word, core_word, k):
-            continue
+    for word, reached in view.shaped_words(core_word, k):
         flags = {sat_map[s] for s in reached}
         if word == core_word:
             if False in flags:

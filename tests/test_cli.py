@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -389,11 +390,15 @@ def test_cli_is_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package the way this process does, also when only
+    # pytest's own pythonpath setting put src/ on sys.path
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "hmlcause", "check", T1, "<a><h>tt"],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert result.returncode == 0
     assert "satisfies" in result.stdout

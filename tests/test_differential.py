@@ -4,7 +4,9 @@ nondeterministic systems, plus metamorphic checks of the cause sets."""
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,20 +21,63 @@ from hmlcause import (
     gen_effect,
     gen_lts,
     isomorphic,
+    Computation,
+    fixture_context,
     make_lts,
     oracle_check_cause,
+    oracle_check_details,
     satisfies,
+    step,
 )
 from hmlcause.causality import (
     _admits_candidate,
-    _dlists_from_kill,
     _evaluate_core,
-    _executable_words,
+    _oracle_view,
+    _OracleView,
     _shaped_words,
     _StateSets,
 )
+from hmlcause.testkit import fixtures
 
 # ---------------------------------------------------------------- kernel
+
+
+def _decompose_greedy(core_labels: tuple, word: tuple) -> Optional[tuple]:
+    """Split word as core letters with interleaved gaps, matching every core
+    letter at its leftmost possible position.  None when word lacks the
+    shape."""
+    m = len(core_labels)
+    positions: list[int] = []
+    i = 0
+    for letter in core_labels:
+        j = i
+        while j < len(word) and word[j] != letter:
+            j += 1
+        if j == len(word):
+            return None
+        positions.append(j)
+        i = j + 1
+    if m and positions[0] != 0:
+        return None
+    gaps = []
+    for t in range(m):
+        lo = positions[t] + 1
+        hi = positions[t + 1] if t + 1 < m else len(word)
+        gaps.append(tuple(word[lo:hi]))
+    return tuple(gaps)
+
+
+def _dlists_from_kill(core_labels: tuple, kill: frozenset) -> tuple:
+    ordered = sorted(kill)
+    per_trace = []
+    for word in ordered:
+        gaps = _decompose_greedy(core_labels, word)
+        if gaps is None:
+            raise RuntimeError(f"escape trace {word!r} does not embed the core")
+        per_trace.append(gaps)
+    return tuple(
+        tuple(gaps[i] for gaps in per_trace) for i in range(len(core_labels))
+    )
 
 
 def _word_level_verdict(universe: dict, sat: frozenset, labels: tuple):
@@ -134,6 +179,74 @@ def test_kernel_truncates_when_the_next_bound_adds_a_mixed_word():
 # ---------------------------------------------------------------- oracle
 
 
+def _matches_shape_bounded(word: tuple, core_labels: tuple, k: int) -> bool:
+    """The full (consumed, gap) dynamic program: word embeds the core
+    letters in order, starting with the first, with every gap at most k."""
+    m = len(core_labels)
+    if m == 0:
+        return word == ()
+    if not word or word[0] != core_labels[0]:
+        return False
+    states = {(1, 0)}
+    for letter in word[1:]:
+        nxt = set()
+        for consumed, gap in states:
+            if consumed < m and letter == core_labels[consumed]:
+                nxt.add((consumed + 1, 0))
+            if gap < k:
+                nxt.add((consumed, gap + 1))
+        states = nxt
+        if not states:
+            return False
+    return any(consumed == m for consumed, _ in states)
+
+
+def _executable_words(lts: Lts, maxlen: int) -> dict:
+    """Every executable word up to maxlen, mapped to the states it reaches."""
+    frontier = {(): frozenset({lts.initial})}
+    table = dict(frontier)
+    for _ in range(maxlen):
+        frontier = {
+            word + (label,): stepped
+            for word, reached in frontier.items()
+            for label in sorted(lts.alphabet)
+            if (stepped := step(lts, reached, label))
+        }
+        table.update(frontier)
+    return table
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    system=_systems(),
+    k=st.integers(0, 3),
+    longest=st.lists(st.sampled_from("abc"), min_size=3, max_size=3),
+)
+def test_oracle_walk_matches_shaped_words_and_the_full_shape_filter(
+    system, k, longest
+):
+    lts, _ = system
+    alphabet = sorted(lts.alphabet)
+    cores = [
+        labels for m in range(3) for labels in itertools.product(alphabet, repeat=m)
+    ]
+    if k < 3:
+        cores.append(tuple(longest))
+    table = _executable_words(lts, max(map(len, cores)) * (k + 1))
+    view = _OracleView(lts)
+    # shortest cores first grow the trie, then the deepest trie serves all
+    for labels in cores + cores[::-1]:
+        walked = list(view.shaped_words(labels, k))
+        assert len({word for word, _ in walked}) == len(walked)
+        walked = dict(walked)
+        assert walked == _shaped_words(lts, labels, k)
+        assert walked == {
+            word: reached
+            for word, reached in table.items()
+            if _matches_shape_bounded(word, labels, k)
+        }
+
+
 @st.composite
 def _contexts(draw):
     """A generated system that may have cycles, made nondeterministic by one
@@ -177,15 +290,43 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
 
     sat_map = {s: satisfies(lts, s, ctx.formula) for s in lts.states}
     for core in _path_cores(lts, k):
-        m = len(core.labels)
-        table = _executable_words(lts, m + m * k)
         admits = sat_map[core.final] and _admits_candidate(
-            lts, sat_map, table, core.labels, k
+            _oracle_view(lts), sat_map, core.labels, k
         )
         comp, _ = cause_candidate(ctx, core, k)
         assert (comp is not None) == admits
         if comp is not None and oracle_check_cause(ctx, comp, k):
             assert emitted.get(core) == comp
+
+
+def _assert_dropping_any_trace_breaks_ac2b(ctx: EffectContext, k: int) -> None:
+    # the dropped kill word is still a shaped word that escapes the effect,
+    # but no longer a trace
+    for report in causes(ctx, k).causes:
+        comp = report.computation
+        assert oracle_check_details(ctx, comp, k)["ac2b"]
+        for i in range(len(report.kill_traces)):
+            dropped = Computation(
+                comp.states,
+                comp.labels,
+                tuple(dl[:i] + dl[i + 1 :] for dl in comp.dlists),
+                comp.truncated,
+            )
+            assert oracle_check_details(ctx, dropped, k)["ac2b"] is False
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ctx=_contexts())
+def test_oracle_rejects_a_cause_with_one_trace_dropped(ctx):
+    # every bound, since most generated causes have no kill trace at all
+    for k in range(5):
+        _assert_dropping_any_trace_breaks_ac2b(ctx, k)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_oracle_rejects_a_fixture_cause_with_one_trace_dropped(name):
+    ctx = fixture_context(name)
+    _assert_dropping_any_trace_breaks_ac2b(ctx, len(ctx.lts.states))
 
 
 # ---------------------------------------------------------------- metamorphic
