@@ -17,6 +17,7 @@ from typing import Optional
 from .computation import (
     Computation,
     Core,
+    computation_traces,
     size_compatible,
     trivial_computation,
 )
@@ -564,23 +565,6 @@ def _oracle_view(lts: Lts) -> _OracleView:
     return _OracleView(lts)
 
 
-def _expand_traces(labels: Word, dlists: tuple) -> frozenset:
-    """Head/tail expansion of the extension lists, walking the entry
-    position forward instead of recursing on the tails."""
-    if all(len(dl) == 0 for dl in dlists):
-        return frozenset({labels})
-    out = set()
-    i = 0
-    while any(len(dl) > i for dl in dlists):
-        word: list[str] = []
-        for label, dl in zip(labels, dlists):
-            word.append(label)
-            word.extend(dl[i])
-        out.add(tuple(word))
-        i += 1
-    return frozenset(out)
-
-
 def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     """Per-condition outcome of the naive re-verification of a computation."""
     lts, formula = ctx.lts, ctx.formula
@@ -610,7 +594,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         return details
 
     traced: dict[Word, frozenset] = {}
-    for word in _expand_traces(c.labels, c.dlists):
+    for word in computation_traces(c):
         reached = reach(lts, lts.initial, word)
         if not reached:
             details["valid_traces"] = False

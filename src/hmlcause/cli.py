@@ -13,7 +13,12 @@ import json
 import os
 import sys
 
-from .causality import causal_projection, causes, exploration_is_exact
+from .causality import (
+    causal_projection,
+    causes,
+    default_bound,
+    exploration_is_exact,
+)
 from .composition import (
     TheoremReport,
     _precondition_report,
@@ -72,10 +77,8 @@ def _display_order(words):
 
 def _effective_bound(requested, lts: Lts) -> int:
     if requested is not None:
-        if requested < 0:
-            raise ValueError("bound must be nonnegative")
         return requested
-    k = len(lts.states)
+    k = default_bound(lts)
     if not is_acyclic(lts):
         print(
             f"note: system has cycles; using default bound {k}, "
@@ -255,7 +258,7 @@ def cmd_verify(args) -> int:
     left_formula = _load_formula(args.left_formula)
     right_formula = _load_formula(args.right_formula)
     composite = interleave(left_lts, right_lts)
-    k = args.bound if args.bound is not None else len(composite.states)
+    k = args.bound if args.bound is not None else default_bound(composite)
     if k < 0:
         raise ValueError("bound must be nonnegative")
     pre = check_preconditions(left_lts, right_lts, left_formula, right_formula)

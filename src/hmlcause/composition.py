@@ -14,7 +14,13 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .causality import Classification, causal_projection, causes, classify_word
+from .causality import (
+    Classification,
+    causal_projection,
+    causes,
+    classify_word,
+    default_bound,
+)
 from .hml import (
     And,
     EffectContext,
@@ -49,35 +55,25 @@ def check_preconditions(left_lts, right_lts, left_formula, right_formula) -> Pre
     shared = left_lts.alphabet & right_lts.alphabet
     if shared:
         issues.append("alphabets share labels: " + ", ".join(sorted(shared)))
-    stray_left = formula_alphabet(left_formula) - left_lts.alphabet
-    if stray_left:
-        issues.append(
-            "left effect uses labels outside its component: "
-            + ", ".join(sorted(stray_left))
-        )
-    stray_right = formula_alphabet(right_formula) - right_lts.alphabet
-    if stray_right:
-        issues.append(
-            "right effect uses labels outside its component: "
-            + ", ".join(sorted(stray_right))
-        )
-    if not stray_left and is_immediate_effect(
-        EffectContext(left_lts, left_formula)
-    ):
-        issues.append("left effect already holds at the initial state")
-    if not stray_right and is_immediate_effect(
-        EffectContext(right_lts, right_formula)
-    ):
-        issues.append("right effect already holds at the initial state")
-    return PreconditionReport(not issues, tuple(issues))
-
-
-def _check_ctx_preconditions(
-    left: EffectContext, right: EffectContext
-) -> PreconditionReport:
-    return check_preconditions(
-        left.lts, right.lts, left.formula, right.formula
+    sides = (
+        ("left", left_lts, left_formula),
+        ("right", right_lts, right_formula),
     )
+    stray = {}
+    for name, lts, formula in sides:
+        stray[name] = formula_alphabet(formula) - lts.alphabet
+        if stray[name]:
+            issues.append(
+                f"{name} effect uses labels outside its component: "
+                + ", ".join(sorted(stray[name]))
+            )
+    for name, lts, formula in sides:
+        # an effect with stray labels cannot be evaluated on its component
+        if not stray[name] and is_immediate_effect(
+            EffectContext(lts, formula)
+        ):
+            issues.append(f"{name} effect already holds at the initial state")
+    return PreconditionReport(not issues, tuple(issues))
 
 
 @dataclass(frozen=True)
@@ -99,9 +95,8 @@ class TheoremReport:
 
 
 def _is_isomorphism(a: Lts, b: Lts, mapping: dict) -> bool:
+    """`mapping` is defined on every state of `a`."""
     if a.alphabet != b.alphabet:
-        return False
-    if set(mapping.keys()) != set(a.states):
         return False
     if len(set(mapping.values())) != len(mapping) or set(
         mapping.values()
@@ -168,11 +163,14 @@ def _precondition_report(theorem: str, pre: PreconditionReport, k: int) -> Theor
     )
 
 
-def _resolve_bound(left: EffectContext, right: EffectContext, k: Optional[int]) -> tuple:
+def _prepare(left: EffectContext, right: EffectContext, k: Optional[int]) -> tuple:
+    """The interleaving, the bound (its state count unless given) and the
+    precondition report that every law check starts from."""
     composite = interleave(left.lts, right.lts)
     if k is None:
-        k = len(composite.states)
-    return composite, k
+        k = default_bound(composite)
+    pre = check_preconditions(left.lts, right.lts, left.formula, right.formula)
+    return composite, k, pre
 
 
 def verify_disjunction_theorem(
@@ -180,8 +178,7 @@ def verify_disjunction_theorem(
 ) -> TheoremReport:
     """Causal projection of the product under "either effect" should be the
     choice of the component projections, up to the branch renaming."""
-    composite, k = _resolve_bound(left, right, k)
-    pre = _check_ctx_preconditions(left, right)
+    composite, k, pre = _prepare(left, right, k)
     if not pre.ok:
         return _precondition_report("disjunction", pre, k)
     lhs = causal_projection(
@@ -189,14 +186,11 @@ def verify_disjunction_theorem(
     )
     rhs = choice(causal_projection(left, k), causal_projection(right, k))
     mapping = _renaming_witness(lhs, left.lts.initial, right.lts.initial)
-    if mapping is not None and _is_isomorphism(lhs, rhs, mapping):
+    if mapping is None or not _is_isomorphism(lhs, rhs, mapping):
+        mapping = isomorphic(lhs, rhs)
+    if mapping is not None:
         return TheoremReport(
             "disjunction", "holds", _witness_json(mapping), None, k
-        )
-    fallback = isomorphic(lhs, rhs)
-    if fallback is not None:
-        return TheoremReport(
-            "disjunction", "holds", _witness_json(fallback), None, k
         )
     return TheoremReport(
         "disjunction",
@@ -214,8 +208,7 @@ def verify_conjunction_theorem(
 ) -> TheoremReport:
     """Causal projection of the product under "both effects" should equal the
     product of the component projections, state for state."""
-    composite, k = _resolve_bound(left, right, k)
-    pre = _check_ctx_preconditions(left, right)
+    composite, k, pre = _prepare(left, right, k)
     if not pre.ok:
         return _precondition_report("conjunction", pre, k)
     lhs = causal_projection(
@@ -264,13 +257,20 @@ class CrossCheckReport:
     detail: str
 
 
+def _moving_side(left: EffectContext, right: EffectContext, labels) -> tuple:
+    """(name, context) of the component whose alphabet holds the first label
+    of a composite core."""
+    if labels[0] in left.lts.alphabet:
+        return "left", left
+    return "right", right
+
+
 def cross_check_single_component(
     left: EffectContext, right: EffectContext, k: Optional[int] = None
 ) -> CrossCheckReport:
     """Every cause of "either effect" on the product must move only one
     component, and its first label tells which one."""
-    composite, k = _resolve_bound(left, right, k)
-    pre = _check_ctx_preconditions(left, right)
+    composite, k, pre = _prepare(left, right, k)
     if not pre.ok:
         return CrossCheckReport(False, "; ".join(pre.issues))
     ctx = EffectContext(composite, Or(left.formula, right.formula))
@@ -289,11 +289,8 @@ def cross_check_single_component(
         # corollary: the first label identifies the moving component, and
         # projecting the core onto that alphabet lands on one of the
         # component's own cause cores
-        if labels[0] in left.lts.alphabet:
-            side_ctx, alpha, name = left, left.lts.alphabet, "left"
-        else:
-            side_ctx, alpha, name = right, right.lts.alphabet, "right"
-        projected = project_word(labels, alpha)
+        name, side_ctx = _moving_side(left, right, labels)
+        projected = project_word(labels, side_ctx.lts.alphabet)
         side_cores = {
             r.computation.labels for r in causes(side_ctx, k).causes
         }
@@ -312,25 +309,20 @@ def cross_check_disjunction_lifting(
     """Causes of "either effect" on the product must be exactly the component
     causes run while the other component stays at rest, and every escape
     trace must still escape when projected onto the moving component."""
-    composite, k = _resolve_bound(left, right, k)
-    pre = _check_ctx_preconditions(left, right)
+    composite, k, pre = _prepare(left, right, k)
     if not pre.ok:
         return CrossCheckReport(False, "; ".join(pre.issues))
     ctx = EffectContext(composite, Or(left.formula, right.formula))
     composite_causes = causes(ctx, k).causes
 
     expected = set()
-    for side, side_ctx, partner_init, on_left in (
-        ("left", left, right.lts.initial, True),
-        ("right", right, left.lts.initial, False),
+    for side_ctx, lift in (
+        (left, lambda s: (s, right.lts.initial)),
+        (right, lambda s: (left.lts.initial, s)),
     ):
         for report in causes(side_ctx, k).causes:
             comp = report.computation
-            if on_left:
-                lifted = tuple((s, partner_init) for s in comp.states)
-            else:
-                lifted = tuple((partner_init, s) for s in comp.states)
-            expected.add((lifted, comp.labels))
+            expected.add((tuple(map(lift, comp.states)), comp.labels))
 
     actual = {
         (r.computation.states, r.computation.labels) for r in composite_causes
@@ -348,12 +340,9 @@ def cross_check_disjunction_lifting(
         labels = report.computation.labels
         if not labels:
             continue
-        if labels[0] in left.lts.alphabet:
-            moving, moving_alpha = left, left.lts.alphabet
-        else:
-            moving, moving_alpha = right, right.lts.alphabet
+        _, moving = _moving_side(left, right, labels)
         for trace in report.kill_traces:
-            projected = project_word(trace, moving_alpha)
+            projected = project_word(trace, moving.lts.alphabet)
             if (
                 classify_word(moving, projected)
                 is not Classification.ALL_VIOLATE
@@ -366,18 +355,26 @@ def cross_check_disjunction_lifting(
     return CrossCheckReport(True, "composite causes are exactly the lifts")
 
 
-def _context_still_fails(
-    left: EffectContext,
-    right: EffectContext,
-    k: int,
-    verify: Callable[[EffectContext, EffectContext, int], TheoremReport],
-) -> bool:
-    if not _check_ctx_preconditions(left, right).ok:
-        return False
-    try:
-        return verify(left, right, k).verdict == "fails"
-    except ValueError:
-        return False
+def _one_step_smaller(pair: tuple):
+    """(side, smaller system) for every pair one drop away: each transition
+    of side 0, then of side 1, then each non-initial state of side 0, then
+    of side 1, in a fixed order."""
+    for side, ctx in enumerate(pair):
+        lts = ctx.lts
+        for tr in sorted(
+            lts.transitions,
+            key=lambda t: (t[1], format_state(t[0]), format_state(t[2])),
+        ):
+            yield side, Lts(
+                lts.states, lts.initial, lts.alphabet, lts.transitions - {tr}
+            )
+    for side, ctx in enumerate(pair):
+        lts = ctx.lts
+        for s in sorted(lts.states - {lts.initial}, key=format_state):
+            kept = frozenset(
+                t for t in lts.transitions if s not in (t[0], t[2])
+            )
+            yield side, Lts(lts.states - {s}, lts.initial, lts.alphabet, kept)
 
 
 def shrink_counterexample(
@@ -386,76 +383,27 @@ def shrink_counterexample(
     k: int,
     verify: Callable[[EffectContext, EffectContext, int], TheoremReport],
 ) -> tuple:
-    """Greedily drop transitions, then states, from either component while
-    the law still fails and the preconditions still hold."""
+    """Greedily drop one transition or state from either component while the
+    law still fails, starting over after each drop.  Transitions go before
+    states and the left component before the right; within a component,
+    transitions are tried by (label, source, target) and states by name.
+    A pair that breaks a precondition gets the verdict "precondition", not
+    "fails", so it is never kept."""
     current = (left, right)
-
-    def rebuild(lts: Lts, ctx: EffectContext) -> Optional[EffectContext]:
-        try:
-            return EffectContext(lts, ctx.formula)
-        except ValueError:
-            return None
-
-    changed = True
-    while changed:
-        changed = False
-        for side in (0, 1):
-            ctx = current[side]
-            for tr in sorted(
-                ctx.lts.transitions, key=lambda t: (t[1], format_state(t[0]))
-            ):
-                smaller = Lts(
-                    ctx.lts.states,
-                    ctx.lts.initial,
-                    ctx.lts.alphabet,
-                    ctx.lts.transitions - {tr},
-                )
-                candidate = rebuild(smaller, ctx)
-                if candidate is None:
-                    continue
-                trial = (
-                    (candidate, current[1])
-                    if side == 0
-                    else (current[0], candidate)
-                )
-                if _context_still_fails(trial[0], trial[1], k, verify):
-                    current = trial
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for side, lts in _one_step_smaller(current):
+            trial = list(current)
+            # the alphabet is kept, so the formula stays within it
+            trial[side] = EffectContext(lts, current[side].formula)
+            try:  # a caller's own verify may reject a smaller pair
+                fails = verify(trial[0], trial[1], k).verdict == "fails"
+            except ValueError:
+                fails = False
+            if fails:
+                current = tuple(trial)
                 break
-        if changed:
-            continue
-        for side in (0, 1):
-            ctx = current[side]
-            for s in sorted(ctx.lts.states, key=format_state):
-                if s == ctx.lts.initial:
-                    continue
-                smaller = Lts(
-                    ctx.lts.states - {s},
-                    ctx.lts.initial,
-                    ctx.lts.alphabet,
-                    frozenset(
-                        t
-                        for t in ctx.lts.transitions
-                        if t[0] != s and t[2] != s
-                    ),
-                )
-                candidate = rebuild(smaller, ctx)
-                if candidate is None:
-                    continue
-                trial = (
-                    (candidate, current[1])
-                    if side == 0
-                    else (current[0], candidate)
-                )
-                if _context_still_fails(trial[0], trial[1], k, verify):
-                    current = trial
-                    changed = True
-                    break
-            if changed:
-                break
-    return current
+        else:
+            return current
 
 
 def write_counterexample_bundle(
@@ -467,14 +415,14 @@ def write_counterexample_bundle(
 ) -> None:
     """Persist a failing instance as a directory of plain files."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "left.aut"), "w") as fh:
-        fh.write(emit_aut(left.lts))
-    with open(os.path.join(directory, "right.aut"), "w") as fh:
-        fh.write(emit_aut(right.lts))
-    with open(os.path.join(directory, "left.formula"), "w") as fh:
-        fh.write(format_formula(left.formula) + "\n")
-    with open(os.path.join(directory, "right.formula"), "w") as fh:
-        fh.write(format_formula(right.formula) + "\n")
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    files = {
+        "left.aut": emit_aut(left.lts),
+        "right.aut": emit_aut(right.lts),
+        "left.formula": format_formula(left.formula) + "\n",
+        "right.formula": format_formula(right.formula) + "\n",
+        "manifest.json": manifest + "\n",
+    }
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w") as fh:
+            fh.write(text)

@@ -110,6 +110,14 @@ def traces(pairs: Sequence[tuple[str, Sequence[Word]]]) -> frozenset:
     """
     labels = tuple(label for label, _ in pairs)
     dlists = tuple(tuple(tuple(w) for w in dl) for _, dl in pairs)
+    return _splice(labels, dlists)
+
+
+def computation_traces(c: Computation) -> frozenset:
+    return _splice(c.labels, c.dlists)
+
+
+def _splice(labels: Word, dlists: tuple) -> frozenset:
     if not size_compatible(dlists):
         raise ValueError("extension lists are not size-compatible")
     count = len(dlists[0]) if dlists else 0
@@ -123,10 +131,6 @@ def traces(pairs: Sequence[tuple[str, Sequence[Word]]]) -> frozenset:
             word.extend(dlists[i][j])
         out.add(tuple(word))
     return frozenset(out)
-
-
-def computation_traces(c: Computation) -> frozenset:
-    return traces(tuple(zip(c.labels, c.dlists)))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from helpers import w
+from helpers import ROOT, w
 from hmlcause import (
     EffectContext,
     Or,
@@ -336,3 +338,137 @@ def test_projected_kill_traces_disable_component_effect():
                 classify_word(side, projected)
                 is Classification.ALL_VIOLATE
             )
+
+
+# ------------------------------------------------- pinned reports and order
+
+
+@pytest.mark.parametrize(
+    "left_formula, right_formula, expected",
+    [
+        (
+            "<x>tt",
+            "<y>tt",
+            (
+                "alphabets share labels: a, e",
+                "left effect uses labels outside its component: x",
+                "right effect uses labels outside its component: y",
+            ),
+        ),
+        (
+            "tt",
+            "tt",
+            (
+                "alphabets share labels: a, e",
+                "left effect already holds at the initial state",
+                "right effect already holds at the initial state",
+            ),
+        ),
+        (
+            "<x>tt",
+            "tt",
+            (
+                "alphabets share labels: a, e",
+                "left effect uses labels outside its component: x",
+                "right effect already holds at the initial state",
+            ),
+        ),
+    ],
+)
+def test_precondition_issues_come_in_a_fixed_order(
+    left_formula, right_formula, expected
+):
+    # a side with stray labels skips its immediate-effect check, so at most
+    # three issues fire at once; these cases fix the order of all five
+    left = make_lts("s0", [("s0", "a", "s1"), ("s1", "e", "s2")])
+    right = make_lts("p0", [("p0", "e", "p1"), ("p1", "a", "p2")])
+    report = check_preconditions(
+        left, right, parse_formula(left_formula), parse_formula(right_formula)
+    )
+    assert not report.ok
+    assert report.issues == expected
+
+
+def test_failing_disjunction_report_on_ambiguous_pair():
+    left, right = nondet_pair()
+    assert verify_disjunction_theorem(left, right).to_json() == {
+        "theorem": "disjunction",
+        "verdict": "fails",
+        "witness": None,
+        "counterexample": {
+            "reason": "projections are not isomorphic",
+            "left": {
+                "aut": 'des (0,2,3)\n(0,"a",1)\n(1,"h",2)\n',
+                "formula": "<h>tt",
+            },
+            "right": {
+                "aut": 'des (0,3,4)\n(0,"d",1)\n(0,"d",2)\n(1,"h\'",3)\n',
+                "formula": "<h'>tt",
+            },
+            "lhs": (
+                'des (0,7,6)\n(0,"a",1)\n(0,"d",2)\n(1,"d",3)\n(2,"a",3)\n'
+                '(2,"h\'",4)\n(3,"h\'",5)\n(4,"a",5)\n#alphabet: h\n'
+            ),
+            "rhs": 'des (0,1,2)\n(0,"a",1)\n#alphabet: d h h\'\n',
+        },
+        "bound": 12,
+    }
+
+
+def test_lemma_reports_on_ambiguous_pair():
+    left, right = nondet_pair()
+    lifting = cross_check_disjunction_lifting(left, right)
+    assert (lifting.ok, lifting.detail) == (
+        False,
+        "lifting mismatch: 1 expected lifts missing, 3 unexpected causes",
+    )
+    single = cross_check_single_component(left, right)
+    assert (single.ok, single.detail) == (
+        False,
+        "core ('a', 'd', \"h'\") moves both components",
+    )
+
+
+_SHRINK_SCRIPT = """
+from hmlcause import (
+    EffectContext, emit_aut, make_lts, parse_formula, shrink_counterexample,
+    verify_disjunction_theorem,
+)
+left = EffectContext(
+    make_lts("q0", [("q0", "Lb", "q1"), ("q0", "Lc", "q2"), ("q0", "Lc", "q4"),
+                    ("q1", "Lb", "q2"), ("q2", "Lb", "q3"), ("q2", "Lc", "q4")],
+             extra_labels=["La"]),
+    parse_formula("!<Lb>[La]!tt"),
+)
+right = EffectContext(
+    make_lts("q0", [("q0", "Rb", "q1"), ("q0", "Rb", "q2"), ("q1", "Ra", "q3"),
+                    ("q1", "Rb", "q2"), ("q2", "Ra", "q3"), ("q2", "Rc", "q3"),
+                    ("q3", "Rb", "q4"), ("q3", "Rc", "q4")]),
+    parse_formula("<Ra>tt"),
+)
+assert verify_disjunction_theorem(left, right, 7).verdict == "fails"
+small = shrink_counterexample(left, right, 7, verify_disjunction_theorem)
+print(emit_aut(small[0].lts) + emit_aut(small[1].lts))
+"""
+
+
+def test_shrinking_does_not_depend_on_the_hash_seed():
+    # both sides have two transitions with the same label and source; which
+    # one is dropped first must not follow frozenset order
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    results = set()
+    for seed in range(1, 6):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": str(seed),
+            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _SHRINK_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        results.add(done.stdout)
+    assert len(results) == 1
