@@ -131,48 +131,6 @@ def _classify(reached: frozenset, sat: frozenset) -> Classification:
     return Classification.MIXED
 
 
-def _shaped_words(lts: Lts, core_labels: Word, k: int) -> dict:
-    """All executable words that interleave the core labels, in order, with
-    a gap of at most k extra letters after each core letter.  Maps each word
-    to the full set of states it reaches from the initial state.
-
-    There is no gap before the first core letter: every word starts with it.
-    """
-    m = len(core_labels)
-    alphabet = sorted(lts.alphabet)
-    result: dict[Word, frozenset] = {}
-    seen: set = set()
-    stack: list[tuple[Word, frozenset, int, int]] = [
-        ((), frozenset({lts.initial}), 0, 0)
-    ]
-    while stack:
-        word, reached, consumed, gap = stack.pop()
-        key = (word, consumed, gap)
-        if key in seen:
-            continue
-        seen.add(key)
-        if consumed == m:
-            result.setdefault(word, reached)
-        if consumed < m:
-            nxt = step(lts, reached, core_labels[consumed])
-            if nxt:
-                stack.append(
-                    (word + (core_labels[consumed],), nxt, consumed + 1, 0)
-                )
-        if consumed >= 1 and gap < k:
-            for label in alphabet:
-                nxt = step(lts, reached, label)
-                if nxt:
-                    stack.append((word + (label,), nxt, consumed, gap + 1))
-    return result
-
-
-def extension_universe(lts: Lts, core: Core, k: int) -> frozenset:
-    """The bounded word universe a candidate for this core is judged on."""
-    _require_valid_core(lts, core)
-    return frozenset(_shaped_words(lts, core.labels, k))
-
-
 def _require_valid_core(lts: Lts, core: Core) -> None:
     if core.first != lts.initial:
         raise ValueError("cores are anchored at the initial state")
@@ -228,18 +186,19 @@ def _evaluate_core(
     (kill, dlists, truncated).  On a bound that is not exact, truncated says
     whether the verdict or the kill set changes at k+1.
 
-    The shaped words of `_shaped_words` at k and at k+1 are explored at once
-    as a DAG.  A node is (reached set, shape positions at k, shape positions
-    at k+1, word length capped at m+1); a shape position is a (consumed,
-    gap) pair, and a set of them is a bitmask with one row of gaps per
-    consumed count, so every word follows exactly one path.  Each letter
-    moves the lowest position strictly forward, so there are no cycles.  A
-    word reaches the same states whatever the bound and the universe at k
-    lies inside the one at k+1, so the bound is truncating exactly when a
-    node accepted at k+1 but not at k reaches a state outside the effect.
-    Only kill words are spelled out, in sorted order, and each one's
-    extension-list entries are cut at the leftmost match of every core
-    letter along its path.
+    The shaped words at k and at k+1 (executable words that start with the
+    first core letter and embed the rest in order, with at most k letters
+    after each) are explored at once as a DAG.  A node is (reached set,
+    shape positions at k, shape positions at k+1, word length capped at
+    m+1); a shape position is a (consumed, gap) pair, and a set of them is a
+    bitmask with one row of gaps per consumed count, so every word follows
+    exactly one path.  Each letter moves the lowest position strictly
+    forward, so there are no cycles.  A word reaches the same states
+    whatever the bound and the universe at k lies inside the one at k+1, so
+    the bound is truncating exactly when a node accepted at k+1 but not at k
+    reaches a state outside the effect.  Only kill words are spelled out, in
+    sorted order, and each one's extension-list entries are cut at the
+    leftmost match of every core letter along its path.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
@@ -463,8 +422,8 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # (consumed core letters, gap since the last one) and keeps only the smallest
 # gap per consumed count, since a smaller gap admits every continuation a
 # larger one does; a subtree where the program runs empty is skipped whole.
-# Traces are re-expanded entry by entry, and satisfaction is evaluated per
-# state.
+# Traces are re-expanded entry by entry and looked up in the same trie, as
+# are the core's smaller label words, and satisfaction is evaluated per state.
 
 
 class _OracleView:
@@ -474,7 +433,8 @@ class _OracleView:
 
     Trie rows are [last letter, reached states, index just past the row's
     subtree] in depth-first order with letters sorted; row 0 is the empty
-    word.  The trie is rebuilt only when a deeper one is asked for.
+    word.  The trie is rebuilt only when a deeper one is asked for, so row
+    indices hold until the next `shape_rows` call that needs more depth.
     """
 
     def __init__(self, lts: Lts) -> None:
@@ -482,7 +442,7 @@ class _OracleView:
         self.reachable = reachable_states(lts)
         self.longest = longest_acyclic_path(lts)
         self._sat_maps: dict = {}
-        self._rows: list[list] = []
+        self.rows: list[list] = []
         self._depth = -1
 
     def sat_map(self, formula) -> dict:
@@ -495,7 +455,7 @@ class _OracleView:
 
     def _trie(self, depth: int) -> list[list]:
         if depth <= self._depth:
-            return self._rows
+            return self.rows
         lts = self.lts
         rows: list[list] = []
         ancestors: list[tuple[int, int]] = []  # (length, row) still open
@@ -524,28 +484,51 @@ class _OracleView:
                     stack.append((label, stepped, length + 1))
         for _, i in ancestors:
             rows[i][2] = len(rows)
-        self._rows, self._depth = rows, depth
+        self.rows, self._depth = rows, depth
         return rows
 
-    def shaped_words(self, core_labels: Word, k: int):
-        """Yield (word, reached) for every executable word that starts with
-        the first core letter and embeds the rest in order, with at most k
-        letters after each core letter; an empty core yields the empty word
+    def lookup(self, word: Word) -> tuple[Optional[int], frozenset]:
+        """The row of a word and the states it reaches.  A word longer than
+        the trie goes on from its deepest row with `step` and has no row; a
+        word that is not executable has no row and reaches nothing."""
+        rows, i = self.rows, 0
+        for n, letter in enumerate(word):
+            if n == self._depth:
+                reached = rows[i][1]
+                for label in word[n:]:
+                    reached = step(self.lts, reached, label)
+                return None, reached
+            child, end = i + 1, rows[i][2]
+            while child < end and rows[child][0] != letter:
+                child = rows[child][2]
+            if child == end:
+                return None, frozenset()
+            i = child
+        return i, rows[i][1]
+
+    def shape_rows(self, core_labels: Word, k: int):
+        """Grow the trie deep enough for this shape, then return an iterator
+        over the rows of every executable word that starts with the first
+        core letter and embeds the rest in order, with at most k letters
+        after each core letter; an empty core gives the empty word's row
         alone."""
         m = len(core_labels)
         depth = m + m * k
         if self.longest is not None:
             # nothing executes past the longest path
             depth = min(depth, self.longest)
-        rows = self._trie(depth)
+        return self._walk(self._trie(depth), core_labels, k)
+
+    @staticmethod
+    def _walk(rows: list[list], core_labels: Word, k: int):
+        m = len(core_labels)
         # gap k at zero consumed letters: no letter may come before the first
-        stack = [(0, (), ((0, k),))]
+        stack = [(0, ((0, k),))]
         while stack:
-            i, word, shape = stack.pop()
-            _, reached, end = rows[i]
+            i, shape = stack.pop()
             if shape[-1][0] == m:
-                yield word, reached
-            child = i + 1
+                yield i
+            child, end = i + 1, rows[i][2]
             while child < end:
                 letter, _, after = rows[child]
                 nxt: list[tuple[int, int]] = []
@@ -556,7 +539,7 @@ class _OracleView:
                     if consumed < m and letter == core_labels[consumed]:
                         nxt.append((consumed + 1, 0))
                 if nxt:
-                    stack.append((child, word + (letter,), tuple(nxt)))
+                    stack.append((child, tuple(nxt)))
                 child = after
 
 
@@ -593,25 +576,32 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         details["valid_sizes"] = False
         return details
 
+    view = _oracle_view(lts)
+    core_word = c.labels
+    # the core's shape fixes the trie, so every row index below is stable
+    shaped = view.shape_rows(core_word, k)
     traced: dict[Word, frozenset] = {}
+    traced_rows: set = set()
     for word in computation_traces(c):
-        reached = reach(lts, lts.initial, word)
+        row, reached = view.lookup(word)
         if not reached:
             details["valid_traces"] = False
             return details
         traced[word] = reached
+        traced_rows.add(row)
+    # the core word is judged even when it is a trace
+    traced_rows.discard(view.lookup(core_word)[0])
 
-    view = _oracle_view(lts)
     sat_map = view.sat_map(formula)
     details["ac1"] = sat_map[c.states[-1]]
     details["ac2a"] = any(not sat_map[s] for s in view.reachable)
 
-    core_word = c.labels
+    rows = view.rows
     ac2b = True
-    for word, reached in view.shaped_words(core_word, k):
-        if word != core_word and word in traced:
+    for i in shaped:
+        if i in traced_rows:
             continue
-        if any(not sat_map[s] for s in reached):
+        if any(not sat_map[s] for s in rows[i][1]):
             ac2b = False
             break
     details["ac2b"] = ac2b
@@ -628,7 +618,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     ac3 = True
     if details["ac2a"]:
         for smaller in sorted(subwords(core_word)):
-            if not any(sat_map[s] for s in reach(lts, lts.initial, smaller)):
+            if not any(sat_map[s] for s in view.lookup(smaller)[1]):
                 continue
             if _admits_candidate(view, sat_map, smaller, k):
                 ac3 = False
@@ -643,9 +633,12 @@ def _admits_candidate(
     """Extension lists for this label word exist exactly when no bounded
     shaped word straddles the effect boundary and the word itself always
     satisfies the effect."""
-    for word, reached in view.shaped_words(core_word, k):
-        flags = {sat_map[s] for s in reached}
-        if word == core_word:
+    shaped = view.shape_rows(core_word, k)
+    core_row = view.lookup(core_word)[0]
+    rows = view.rows
+    for i in shaped:
+        flags = {sat_map[s] for s in rows[i][1]}
+        if i == core_row:
             if False in flags:
                 return False
         elif len(flags) == 2:

@@ -236,7 +236,6 @@ def _verify_random(args) -> int:
                 bundle,
                 small_left,
                 small_right,
-                inst.bound,
                 verify(small_left, small_right, inst.bound),
             )
             print(f"  minimized bundle written to {bundle}/")

@@ -410,7 +410,6 @@ def write_counterexample_bundle(
     directory: str,
     left: EffectContext,
     right: EffectContext,
-    k: int,
     report: TheoremReport,
 ) -> None:
     """Persist a failing instance as a directory of plain files."""

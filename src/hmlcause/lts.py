@@ -55,8 +55,9 @@ class Lts:
     alphabet and a set of labeled transitions.
 
     The alphabet may strictly contain the labels used by transitions; the
-    converse is an error.  Successor indexes are precomputed once since every
-    analysis in this package is traversal-heavy.
+    converse is an error.  Construction validates every field; the successor
+    indexes are built on the first traversal, so a system that is only
+    compared or hashed never pays for them.
     """
 
     states: frozenset
@@ -70,30 +71,39 @@ class Lts:
         for label in self.alphabet:
             if not valid_label(label):
                 raise ValueError(f"invalid label {label!r}")
-        succ: dict[tuple[State, str], set] = {}
-        out: dict[State, set] = {s: set() for s in self.states}
         for src, label, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoint is not a state")
             if label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} not in alphabet")
-            succ.setdefault((src, label), set()).add(dst)
-            out[src].add((label, dst))
-        frozen_succ = {key: frozenset(v) for key, v in succ.items()}
-        frozen_out = {
-            s: tuple(sorted(v, key=lambda e: (e[0], format_state(e[1]))))
-            for s, v in out.items()
-        }
-        object.__setattr__(self, "_succ", frozen_succ)
-        object.__setattr__(self, "_out", frozen_out)
+        # an attribute added after construction costs a dict per instance
+        object.__setattr__(self, "_succ", None)
+        object.__setattr__(self, "_out", None)
 
     def successors(self, s: State, label: str) -> frozenset:
-        return self._succ.get((s, label), frozenset())
+        succ = self._succ
+        if succ is None:
+            grouped: dict[tuple[State, str], set] = {}
+            for src, name, dst in self.transitions:
+                grouped.setdefault((src, name), set()).add(dst)
+            succ = {key: frozenset(v) for key, v in grouped.items()}
+            object.__setattr__(self, "_succ", succ)
+        return succ.get((s, label), frozenset())
 
     def outgoing(self, s: State) -> tuple:
         """Sorted (label, target) pairs leaving s."""
+        out = self._out
+        if out is None:
+            edges: dict[State, set] = {state: set() for state in self.states}
+            for src, label, dst in self.transitions:
+                edges[src].add((label, dst))
+            out = {
+                state: tuple(sorted(v, key=lambda e: (e[0], format_state(e[1]))))
+                for state, v in edges.items()
+            }
+            object.__setattr__(self, "_out", out)
         try:
-            return self._out[s]
+            return out[s]
         except KeyError:
             raise ValueError(f"unknown state {format_state(s)!r}") from None
 

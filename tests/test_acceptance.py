@@ -274,7 +274,6 @@ def test_criterion_10_random_corpus_laws_and_oracle():
                         str(bundle),
                         small[0],
                         small[1],
-                        inst.bound,
                         verify(small[0], small[1], inst.bound),
                     )
                     failures.append(f"{theorem} fails on #{inst.index}: {bundle}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import w, words
+from reference import extension_universe
 from hmlcause import (
     Classification,
     Computation,
@@ -19,7 +20,6 @@ from hmlcause import (
     classify_word,
     default_bound,
     exploration_is_exact,
-    extension_universe,
     make_lts,
     oracle_check_cause,
     oracle_check_details,

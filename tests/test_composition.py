@@ -291,7 +291,7 @@ def test_shrink_preserves_failure_and_bundle_is_complete(tmp_path):
     assert report.verdict == "fails"
 
     bundle = tmp_path / "bundle"
-    write_counterexample_bundle(str(bundle), small_left, small_right, 12, report)
+    write_counterexample_bundle(str(bundle), small_left, small_right, report)
     assert sorted(os.listdir(bundle)) == [
         "left.aut",
         "left.formula",

@@ -22,10 +22,12 @@ from hmlcause import (
     gen_lts,
     isomorphic,
     Computation,
+    Not,
     fixture_context,
     make_lts,
     oracle_check_cause,
     oracle_check_details,
+    reach,
     satisfies,
     step,
 )
@@ -34,10 +36,10 @@ from hmlcause.causality import (
     _evaluate_core,
     _oracle_view,
     _OracleView,
-    _shaped_words,
     _StateSets,
 )
 from hmlcause.testkit import fixtures
+from reference import shaped_row_words, shaped_words, spell_row, word_oracle_details
 
 # ---------------------------------------------------------------- kernel
 
@@ -144,8 +146,8 @@ def test_kernel_matches_word_level_reference(system, k, longest):
     if k < 3:
         cores.append(tuple(longest))
     for labels in cores:
-        universe = _shaped_words(lts, labels, k)
-        universe_next = _shaped_words(lts, labels, k + 1)
+        universe = shaped_words(lts, labels, k)
+        universe_next = shaped_words(lts, labels, k + 1)
         for exact in (True, False):
             assert _evaluate_core(space, labels, k, exact) == _word_level_evaluate(
                 universe, universe_next, sat, labels, exact
@@ -236,15 +238,34 @@ def test_oracle_walk_matches_shaped_words_and_the_full_shape_filter(
     view = _OracleView(lts)
     # shortest cores first grow the trie, then the deepest trie serves all
     for labels in cores + cores[::-1]:
-        walked = list(view.shaped_words(labels, k))
+        walked = shaped_row_words(view, labels, k)
         assert len({word for word, _ in walked}) == len(walked)
         walked = dict(walked)
-        assert walked == _shaped_words(lts, labels, k)
+        assert walked == shaped_words(lts, labels, k)
         assert walked == {
             word: reached
             for word, reached in table.items()
             if _matches_shape_bounded(word, labels, k)
         }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_systems(), m=st.integers(0, 1), k=st.integers(0, 2))
+def test_trie_lookup_equals_reach_up_to_two_letters_past_its_depth(system, m, k):
+    lts, _ = system
+    alphabet = sorted(lts.alphabet)
+    view = _OracleView(lts)
+    view.shape_rows(tuple(alphabet[:m]), k)
+    depth = view._depth
+    for n in range(depth + 3):
+        for word in itertools.product(alphabet, repeat=n):
+            row, reached = view.lookup(word)
+            assert reached == reach(lts, lts.initial, word)
+            if row is None:
+                assert not reached or n > depth
+            else:
+                assert spell_row(view.rows, row) == word
+                assert view.rows[row][1] == reached
 
 
 @st.composite
@@ -327,6 +348,65 @@ def test_oracle_rejects_a_cause_with_one_trace_dropped(ctx):
 def test_oracle_rejects_a_fixture_cause_with_one_trace_dropped(name):
     ctx = fixture_context(name)
     _assert_dropping_any_trace_breaks_ac2b(ctx, len(ctx.lts.states))
+
+
+def _lengthened(lts: Lts, comp: Computation, k: int):
+    """The computation with the first entry of its last extension list made
+    longer than k: once by an executable suffix that carries its trace past
+    the trie the oracle walks for this core, once by an executable suffix to
+    length k and then a letter the trace cannot take there."""
+    m = len(comp.labels)
+    if not m or not comp.dlists[-1]:
+        return
+    entry = comp.dlists[-1][0]
+    trace = tuple(
+        itertools.chain.from_iterable(
+            (label,) + dl[0] for label, dl in zip(comp.labels, comp.dlists)
+        )
+    )
+    reached = reach(lts, lts.initial, trace)
+    suffix: list[str] = []
+    tails = []
+    while True:
+        enabled = sorted({label for s in reached for label, _ in lts.outgoing(s)})
+        if len(entry) + len(suffix) == k:
+            stuck = sorted(lts.alphabet - set(enabled))
+            if stuck:
+                tails.append(tuple(suffix) + (stuck[0],))
+        if len(entry) + len(suffix) > m * k:
+            tails.append(tuple(suffix))
+            break
+        if not enabled:
+            break
+        suffix.append(enabled[0])
+        reached = step(lts, reached, enabled[0])
+    for tail in tails:
+        last = (entry + tail,) + comp.dlists[-1][1:]
+        yield Computation(comp.states, comp.labels, comp.dlists[:-1] + (last,))
+
+
+def _mutations(ctx: EffectContext, comp: Computation, k: int):
+    """(context, computation, bound) for the cause and each mutation of it,
+    the lengthened ones before k + 1 can grow the trie past them."""
+    yield ctx, comp, k
+    for longer in _lengthened(ctx.lts, comp, k):
+        yield ctx, longer, k
+    if comp.dlists and comp.dlists[0]:
+        dropped = tuple(dl[1:] for dl in comp.dlists)
+        yield ctx, Computation(comp.states, comp.labels, dropped), k
+    if k > 0:
+        yield ctx, comp, k - 1
+    yield ctx, comp, k + 1
+    yield EffectContext(ctx.lts, Not(ctx.formula)), comp, k
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ctx=_contexts())
+def test_oracle_matches_the_word_level_oracle_on_causes_and_mutations(ctx):
+    for k in range(5):
+        for report in causes(ctx, k).causes:
+            for query in _mutations(ctx, report.computation, k):
+                assert oracle_check_details(*query) == word_oracle_details(*query)
 
 
 # ---------------------------------------------------------------- metamorphic

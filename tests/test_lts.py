@@ -10,6 +10,9 @@ from helpers import seeded_lts, w, words
 from hmlcause import (
     AutParseError,
     CHOICE_INITIAL,
+    EffectContext,
+    Lts,
+    causes,
     choice,
     emit_aut,
     emit_dot,
@@ -20,6 +23,7 @@ from hmlcause import (
     longest_acyclic_path,
     make_lts,
     parse_aut,
+    parse_formula,
     project_word,
     reach,
     reachable_states,
@@ -237,6 +241,52 @@ def test_restrict_to_reachable_drops_orphans():
     )
     trimmed = restrict_to_reachable(lts)
     assert trimmed.states == frozenset({"a0", "a1"})
+
+
+# ---------------------------------------------------------------- lazy indexes
+
+
+def _fresh_t4() -> Lts:
+    t4 = FIX["t4"][0]
+    return Lts(t4.states, t4.initial, t4.alphabet, t4.transitions)
+
+
+def test_untraversed_system_equals_and_hashes_like_a_traversed_one():
+    fresh, walked = _fresh_t4(), _fresh_t4()
+    reachable_states(walked)
+    assert fresh._out is None and walked._out is not None
+    assert fresh == walked and hash(fresh) == hash(walked)
+    assert {fresh: 1}[walked] == 1
+
+
+def test_causes_over_untraversed_system_hit_the_same_cache_entry():
+    formula = parse_formula("<h>tt")
+    walked = _fresh_t4()
+    first = causes(EffectContext(walked, formula), 3)
+    fresh = _fresh_t4()
+    assert fresh._out is None and fresh._succ is None
+    assert causes(EffectContext(fresh, formula), 3) is first
+
+
+@pytest.mark.parametrize(
+    "transitions, alphabet",
+    [
+        ([("s0", "a", "s9")], {"a"}),
+        ([("s9", "a", "s0")], {"a"}),
+        ([("s0", "b", "s1")], {"a"}),
+    ],
+    ids=["unknown-target", "unknown-source", "label-outside-alphabet"],
+)
+def test_bad_transition_is_rejected_at_construction(transitions, alphabet):
+    with pytest.raises(ValueError):
+        Lts(frozenset({"s0", "s1"}), "s0", frozenset(alphabet), frozenset(transitions))
+
+
+def test_outgoing_of_unknown_state_raises_on_the_first_call():
+    fresh = _fresh_t4()
+    assert fresh._out is None
+    with pytest.raises(ValueError, match="unknown state"):
+        fresh.outgoing("nowhere")
 
 
 # ---------------------------------------------------------------- properties
