@@ -24,7 +24,6 @@ from .composition import (
     cross_check_disjunction_lifting,
     cross_check_single_component,
     shrink_counterexample,
-    verify_both,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
     write_counterexample_bundle,
@@ -32,13 +31,9 @@ from .composition import (
 from .computation import (
     Computation,
     Core,
-    ValidationReport,
     computation_traces,
     size_compatible,
-    sub_cores,
-    traces,
     trivial_computation,
-    validate_computation,
 )
 from .hml import (
     And,
@@ -62,13 +57,11 @@ from .hml import (
 from .lts import (
     AutParseError,
     CHOICE_INITIAL,
-    EPSILON,
     Lts,
     choice,
     emit_aut,
     emit_dot,
     format_state,
-    init_actions,
     interleave,
     is_acyclic,
     isomorphic,

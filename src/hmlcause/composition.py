@@ -242,15 +242,6 @@ def verify_conjunction_theorem(
     )
 
 
-def verify_both(
-    left: EffectContext, right: EffectContext, k: Optional[int] = None
-) -> tuple:
-    return (
-        verify_disjunction_theorem(left, right, k),
-        verify_conjunction_theorem(left, right, k),
-    )
-
-
 @dataclass(frozen=True)
 class CrossCheckReport:
     ok: bool

@@ -3,18 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .lts import (
-    Lts,
-    State,
-    Word,
-    _state_from_json,
-    _state_to_json,
-    format_state,
-    reach,
-    subwords,
-)
+from .lts import State, Word, _state_from_json, _state_to_json, format_state
 
 
 @dataclass(frozen=True)
@@ -101,23 +92,14 @@ def size_compatible(dlists: Sequence[Sequence[Word]]) -> bool:
     return len(lengths) <= 1
 
 
-def traces(pairs: Sequence[tuple[str, Sequence[Word]]]) -> frozenset:
-    """Expand (label, extension list) pairs into the set of full words.
+def computation_traces(c: Computation) -> frozenset:
+    """Expand a computation into the set of full words.
 
     With all-empty lists the only trace is the bare label word.  Otherwise
     entry j of every list is spliced after its label, producing one word per
     entry position; only those spliced words are traces.
     """
-    labels = tuple(label for label, _ in pairs)
-    dlists = tuple(tuple(tuple(w) for w in dl) for _, dl in pairs)
-    return _splice(labels, dlists)
-
-
-def computation_traces(c: Computation) -> frozenset:
-    return _splice(c.labels, c.dlists)
-
-
-def _splice(labels: Word, dlists: tuple) -> frozenset:
+    labels, dlists = c.labels, c.dlists
     if not size_compatible(dlists):
         raise ValueError("extension lists are not size-compatible")
     count = len(dlists[0]) if dlists else 0
@@ -131,67 +113,3 @@ def _splice(labels: Word, dlists: tuple) -> frozenset:
             word.extend(dlists[i][j])
         out.add(tuple(word))
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violation: Optional[str] = None
-    detail: str = ""
-
-
-def validate_computation(lts: Lts, c: Computation) -> ValidationReport:
-    """Check the three requirements in order: the core steps through the
-    transition relation, the extension lists are size-compatible, and every
-    expanded trace is executable from the first state."""
-    for s in c.states:
-        if s not in lts.states:
-            return ValidationReport(
-                False, "path", f"unknown state {format_state(s)!r}"
-            )
-    for i, label in enumerate(c.labels):
-        if (c.states[i], label, c.states[i + 1]) not in lts.transitions:
-            return ValidationReport(
-                False,
-                "path",
-                f"missing transition ({format_state(c.states[i])},{label},"
-                f"{format_state(c.states[i + 1])})",
-            )
-    if not size_compatible(c.dlists):
-        return ValidationReport(
-            False, "size-compatibility", "extension lists differ in length"
-        )
-    for trace in sorted(computation_traces(c)):
-        if not reach(lts, c.states[0], trace):
-            return ValidationReport(
-                False, "trace", f"trace {''.join(trace) or 'ε'} is not executable"
-            )
-    return ValidationReport(True)
-
-
-def _paths_for_word(lts: Lts, start: State, word: Word) -> list[tuple]:
-    """All state paths from start labeled exactly by word."""
-    paths: list[tuple] = []
-
-    def walk(prefix: tuple, i: int) -> None:
-        if i == len(word):
-            paths.append(prefix)
-            return
-        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=format_state):
-            walk(prefix + (nxt,), i + 1)
-
-    walk((start,), 0)
-    return paths
-
-
-def sub_cores(lts: Lts, core: Core) -> frozenset:
-    """Every core anchored at the same first state whose label word deletes
-    at least one letter from the given core's labels, one per executable
-    state path."""
-    if core.first not in lts.states:
-        raise ValueError(f"unknown state {format_state(core.first)!r}")
-    result: set = set()
-    for word in subwords(core.labels):
-        for path in _paths_for_word(lts, core.first, word):
-            result.add(Core(path, word))
-    return frozenset(result)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -12,8 +11,6 @@ from typing import Iterable, Optional, Union
 State = Union[str, int, tuple]
 Word = tuple[str, ...]
 Transition = tuple[State, str, State]
-
-EPSILON: Word = ()
 
 _LABEL_FORBIDDEN = set('<>[]!&|()"')
 
@@ -162,11 +159,6 @@ def reachable_states(lts: Lts) -> frozenset:
     return frozenset(seen)
 
 
-def init_actions(lts: Lts, s: State) -> frozenset:
-    """Labels enabled as a first step from s."""
-    return frozenset(label for label, _ in lts.outgoing(s))
-
-
 def subwords(word: Word) -> frozenset:
     """All words obtained by deleting at least one letter from word.
 
@@ -276,30 +268,24 @@ def longest_acyclic_path(lts: Lts) -> Optional[int]:
     """Transition count of the longest path in the reachable part, or None
     when the reachable part contains a cycle."""
     keep = reachable_states(lts)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in keep}
-    depth: dict[State, int] = {}
-
-    def visit(s: State) -> Optional[int]:
-        color[s] = GRAY
-        best = 0
+    indegree = dict.fromkeys(keep, 0)
+    for s in keep:
         for _, dst in lts.outgoing(s):
-            if color[dst] == GRAY:
-                return None
-            if color[dst] == WHITE:
-                if visit(dst) is None:
-                    return None
-            best = max(best, 1 + depth[dst])
-        color[s] = BLACK
-        depth[s] = best
-        return best
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(keep) * 4 + 100))
-    try:
-        return visit(lts.initial)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            indegree[dst] += 1
+    # Kahn's order: a state is dequeued once all its predecessors are, so
+    # the states left over are exactly those on or behind a cycle
+    depth = dict.fromkeys(keep, 0)
+    queue = deque(s for s in keep if not indegree[s])
+    dequeued = 0
+    while queue:
+        s = queue.popleft()
+        dequeued += 1
+        for _, dst in lts.outgoing(s):
+            depth[dst] = max(depth[dst], depth[s] + 1)
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                queue.append(dst)
+    return max(depth.values()) if dequeued == len(keep) else None
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +472,6 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
     lin: dict[State, list] = {s: [] for s in left.states}
     for src, label, dst in left.transitions:
         lin[dst].append((label, src))
-    rin: dict[State, list] = {s: [] for s in right.states}
-    for src, label, dst in right.transitions:
-        rin[dst].append((label, src))
     rtrans = set(right.transitions)
 
     order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), format_state(s)))
@@ -504,30 +487,35 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    # depth-first search with one candidate iterator per assigned position;
+    # the candidates of a position are the unused ones when it is entered
+    stack: list = []
+    i = 0
+    while i < len(order):
         s = order[i]
-        candidates = (
-            [right.initial]
-            if s == left.initial
-            else [t for t in by_sig[lsig[s]] if t not in used]
-        )
-        for t in candidates:
+        if len(stack) == i:
+            stack.append(
+                iter(
+                    [right.initial]
+                    if s == left.initial
+                    else [t for t in by_sig[lsig[s]] if t not in used]
+                )
+            )
+        for t in stack[i]:
             if t in used or rsig[t] != lsig[s]:
                 continue
             if not consistent(s, t):
                 continue
             mapping[s] = t
             used.add(t)
-            if extend(i + 1):
-                return True
-            del mapping[s]
-            used.discard(t)
-        return False
-
-    if not extend(0):
-        return None
+            i += 1
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            i -= 1
+            used.discard(mapping.pop(order[i]))
     for src, label, dst in left.transitions:
         if (mapping[src], label, mapping[dst]) not in rtrans:
             return None

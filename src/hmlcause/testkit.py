@@ -206,39 +206,21 @@ class CorpusInstance:
     bound: int
 
 
-def corpus(
-    count: int,
-    seed: int,
-    max_states: int = 6,
-    max_out_degree: int = 2,
-    alphabet_size: int = 3,
-    formula_depth: int = 3,
-) -> Iterator[CorpusInstance]:
-    """Seeded stream of acyclic disjoint-alphabet instance pairs.  The bound
+def corpus(count: int, seed: int) -> Iterator[CorpusInstance]:
+    """Seeded stream of acyclic disjoint-alphabet instance pairs, each side
+    drawn with the `GenParams` defaults: at most 6 states, out-degree at
+    most 2, a 3-letter alphabet and effects of depth at most 3.  The bound
     is the longest path of the interleaved product, which makes the bounded
     analysis exact on every instance."""
     for i in range(count):
         instance_seed = seed * 100003 + i
         sides = {}
         for ns in ("L", "R"):
-            params = GenParams(
-                seed=instance_seed,
-                max_states=max_states,
-                max_out_degree=max_out_degree,
-                alphabet_size=alphabet_size,
-                acyclic=True,
-                formula_depth=formula_depth,
-                namespace=ns,
-            )
+            params = GenParams(seed=instance_seed, namespace=ns)
             lts = gen_lts(params)
             sides[ns] = EffectContext(lts, gen_effect(params, lts))
-        bound = _exact_pair_bound(sides["L"].lts, sides["R"].lts)
+        # both sides are acyclic, so each has a longest path
+        bound = longest_acyclic_path(sides["L"].lts) + longest_acyclic_path(
+            sides["R"].lts
+        )
         yield CorpusInstance(i, sides["L"], sides["R"], bound)
-
-
-def _exact_pair_bound(left: Lts, right: Lts) -> int:
-    left_longest = longest_acyclic_path(left)
-    right_longest = longest_acyclic_path(right)
-    if left_longest is None or right_longest is None:
-        raise ValueError("exact pair bound requires acyclic components")
-    return left_longest + right_longest

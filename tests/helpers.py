@@ -9,11 +9,15 @@ from hmlcause import (
     And,
     Box,
     Diamond,
+    EffectContext,
     GenParams,
+    Lts,
     Not,
     Or,
     Top,
     gen_lts,
+    verify_conjunction_theorem,
+    verify_disjunction_theorem,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +62,16 @@ def rand_formula(rng: random.Random, labels: list, depth: int):
 def is_subsequence(shorter: tuple, longer: tuple) -> bool:
     it = iter(longer)
     return all(letter in it for letter in shorter)
+
+
+def init_actions(lts: Lts, s) -> frozenset:
+    """Labels enabled as a first step from s."""
+    return frozenset(label for label, _ in lts.outgoing(s))
+
+
+def verify_both(left: EffectContext, right: EffectContext, k=None) -> tuple:
+    """The disjunction and the conjunction law reports, in that order."""
+    return (
+        verify_disjunction_theorem(left, right, k),
+        verify_conjunction_theorem(left, right, k),
+    )

@@ -1,14 +1,33 @@
-"""Word-level references that the tests hold the package to.
+"""References that the tests hold the package to.
 
-The shaped-word universe spelled out word by word, the oracle's trie walk
-spelled back into words, and the oracle as it was when it reached every
-traced word letter by letter with `reach` and skipped traced words by their
-spelling.  None of this serves the engine, the oracle or the CLI.
+- The shaped-word universe spelled out word by word, the oracle's trie walk
+  spelled back into words, and the oracle as it was when it reached every
+  traced word letter by letter with `reach` and skipped traced words by
+  their spelling.
+- `validate_computation`, the paper's definition of a computation checked
+  requirement by requirement, which the oracle's validity flags must match.
+- `sub_cores`, every core below a given one, as the minimality reference.
+- `traces`, the (label, extension list) pairs form of `computation_traces`.
+- `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
+
+None of this serves the engine, the oracle or the CLI.
 """
 
 from __future__ import annotations
 
-from hmlcause import Computation, Core, EffectContext, Lts, reach, step, subwords
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from hmlcause import (
+    Computation,
+    Core,
+    EffectContext,
+    Lts,
+    format_state,
+    reach,
+    step,
+    subwords,
+)
 from hmlcause.causality import _oracle_view, _OracleView, _require_valid_core
 from hmlcause.computation import computation_traces, size_compatible
 from hmlcause.lts import Word
@@ -163,3 +182,107 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
                 break
     details["ac3"] = ac3
     return details
+
+
+def traces(pairs: Sequence[tuple[str, Sequence[Word]]]) -> frozenset:
+    """`computation_traces` of the computation with these (label, extension
+    list) steps, on placeholder states."""
+    labels = tuple(label for label, _ in pairs)
+    dlists = tuple(tuple(tuple(w) for w in dl) for _, dl in pairs)
+    states = tuple(range(len(labels) + 1))
+    return computation_traces(Computation(states, labels, dlists))
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    valid: bool
+    violation: Optional[str] = None
+    detail: str = ""
+
+
+def validate_computation(lts: Lts, c: Computation) -> ValidationReport:
+    """Check the three requirements in order: the core steps through the
+    transition relation, the extension lists are size-compatible, and every
+    expanded trace is executable from the first state."""
+    for s in c.states:
+        if s not in lts.states:
+            return ValidationReport(
+                False, "path", f"unknown state {format_state(s)!r}"
+            )
+    for i, label in enumerate(c.labels):
+        if (c.states[i], label, c.states[i + 1]) not in lts.transitions:
+            return ValidationReport(
+                False,
+                "path",
+                f"missing transition ({format_state(c.states[i])},{label},"
+                f"{format_state(c.states[i + 1])})",
+            )
+    if not size_compatible(c.dlists):
+        return ValidationReport(
+            False, "size-compatibility", "extension lists differ in length"
+        )
+    for trace in sorted(computation_traces(c)):
+        if not reach(lts, c.states[0], trace):
+            return ValidationReport(
+                False, "trace", f"trace {''.join(trace) or 'ε'} is not executable"
+            )
+    return ValidationReport(True)
+
+
+def _paths_for_word(lts: Lts, start, word: Word) -> list[tuple]:
+    """All state paths from start labeled exactly by word."""
+    paths: list[tuple] = []
+
+    def walk(prefix: tuple, i: int) -> None:
+        if i == len(word):
+            paths.append(prefix)
+            return
+        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=format_state):
+            walk(prefix + (nxt,), i + 1)
+
+    walk((start,), 0)
+    return paths
+
+
+def sub_cores(lts: Lts, core: Core) -> frozenset:
+    """Every core anchored at the same first state whose label word deletes
+    at least one letter from the given core's labels, one per executable
+    state path."""
+    if core.first not in lts.states:
+        raise ValueError(f"unknown state {format_state(core.first)!r}")
+    result: set = set()
+    for word in subwords(core.labels):
+        for path in _paths_for_word(lts, core.first, word):
+            result.add(Core(path, word))
+    return frozenset(result)
+
+
+def brute_longest_acyclic_path(lts: Lts) -> Optional[int]:
+    """`longest_acyclic_path` by exhaustive search: None when some state
+    reachable from the initial one reaches itself again, else the length of
+    the longest simple path from the initial state."""
+    edges = sorted((src, dst) for src, _, dst in lts.transitions)
+    reachable = {lts.initial}
+    while True:
+        grown = reachable | {dst for src, dst in edges if src in reachable}
+        if grown == reachable:
+            break
+        reachable = grown
+    for start in reachable:
+        after = {dst for src, dst in edges if src == start}
+        while True:
+            grown = after | {dst for src, dst in edges if src in after}
+            if grown == after:
+                break
+            after = grown
+        if start in after:
+            return None
+    longest = 0
+    paths = [(lts.initial,)]
+    while paths:
+        path = paths.pop()
+        longest = max(longest, len(path) - 1)
+        paths.extend(
+            path + (dst,) for src, dst in edges if src == path[-1] and dst not in path
+        )
+    return longest

@@ -8,7 +8,8 @@ import random
 import time
 from pathlib import Path
 
-from helpers import ROOT, rand_formula, w, words
+from helpers import ROOT, init_actions, rand_formula, verify_both, w, words
+from reference import traces
 from hmlcause import (
     And,
     Box,
@@ -29,15 +30,12 @@ from hmlcause import (
     cross_check_disjunction_lifting,
     cross_check_single_component,
     gen_lts,
-    init_actions,
     interleave,
     is_immediate_effect,
     oracle_check_cause,
     oracle_check_details,
     satisfies,
     shrink_counterexample,
-    traces,
-    verify_both,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
     write_counterexample_bundle,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import w, words
-from reference import extension_universe
+from reference import extension_universe, sub_cores, validate_computation
 from hmlcause import (
     Classification,
     Computation,
@@ -24,8 +24,6 @@ from hmlcause import (
     oracle_check_cause,
     oracle_check_details,
     parse_formula,
-    sub_cores,
-    validate_computation,
 )
 from hmlcause.testkit import fixture_context, fixtures
 

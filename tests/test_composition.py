@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from helpers import ROOT, w
+from helpers import ROOT, verify_both, w
 from hmlcause import (
     EffectContext,
     Or,
@@ -24,7 +24,6 @@ from hmlcause import (
     make_lts,
     parse_formula,
     shrink_counterexample,
-    verify_both,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
     write_counterexample_bundle,

@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_subsequence, w, words
+from reference import sub_cores, traces, validate_computation
 from hmlcause import (
     Computation,
     Core,
     computation_traces,
-    sub_cores,
     size_compatible,
-    traces,
     trivial_computation,
-    validate_computation,
 )
 from hmlcause.testkit import fixtures
 

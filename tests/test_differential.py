@@ -7,7 +7,7 @@ import itertools
 from typing import Optional
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hmlcause import (
@@ -24,6 +24,8 @@ from hmlcause import (
     Computation,
     Not,
     fixture_context,
+    format_state,
+    longest_acyclic_path,
     make_lts,
     oracle_check_cause,
     oracle_check_details,
@@ -39,7 +41,14 @@ from hmlcause.causality import (
     _StateSets,
 )
 from hmlcause.testkit import fixtures
-from reference import shaped_row_words, shaped_words, spell_row, word_oracle_details
+from reference import (
+    brute_longest_acyclic_path,
+    shaped_row_words,
+    shaped_words,
+    spell_row,
+    validate_computation,
+    word_oracle_details,
+)
 
 # ---------------------------------------------------------------- kernel
 
@@ -125,6 +134,34 @@ def _systems(draw):
     )
     lts = make_lts("s0", transitions, extra_labels=labels, extra_states=states)
     return lts, frozenset(draw(st.sets(st.sampled_from(states))))
+
+
+# a self-loop, parallel edges, nondeterminism, and a cycle that enters the
+# reachable part only from unreachable states
+@example(system=(make_lts("s0", [("s0", "a", "s0")]), frozenset()))
+@example(
+    system=(make_lts("s0", [("s0", "a", "s1"), ("s0", "b", "s1")]), frozenset())
+)
+@example(
+    system=(
+        make_lts("s0", [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s2")]),
+        frozenset(),
+    )
+)
+@example(
+    system=(
+        make_lts(
+            "s0",
+            [("s0", "a", "s1"), ("s2", "a", "s3"), ("s3", "a", "s2"), ("s3", "b", "s1")],
+        ),
+        frozenset(),
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_systems())
+def test_longest_acyclic_path_matches_exhaustive_search(system):
+    lts, _ = system
+    assert longest_acyclic_path(lts) == brute_longest_acyclic_path(lts)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -407,6 +444,68 @@ def test_oracle_matches_the_word_level_oracle_on_causes_and_mutations(ctx):
         for report in causes(ctx, k).causes:
             for query in _mutations(ctx, report.computation, k):
                 assert oracle_check_details(*query) == word_oracle_details(*query)
+
+
+def _malformed(lts: Lts, comp: Computation):
+    """The computation with one requirement of the definition broken in
+    each way: a core state unknown, a core step off the transition
+    relation, another first state, an extension list one entry short, and
+    an extension entry with a letter its trace cannot take."""
+    states, labels, dlists = comp.states, comp.labels, comp.dlists
+    for i in range(len(states)):
+        yield Computation(states[:i] + ("unknown",) + states[i + 1 :], labels, dlists)
+    for i, label in enumerate(labels):
+        off = lts.states - lts.successors(states[i], label)
+        for dst in sorted(off, key=format_state)[:1]:
+            yield Computation(states[: i + 1] + (dst,) + states[i + 2 :], labels, dlists)
+    for first in sorted(lts.states - {states[0]}, key=format_state):
+        yield Computation((first,) + states[1:], labels, dlists)
+    for i, dl in enumerate(dlists):
+        if not dl:
+            continue
+        yield Computation(states, labels, dlists[:i] + (dl[:-1],) + dlists[i + 1 :])
+        prefix = tuple(
+            itertools.chain.from_iterable(
+                (label,) + d[0] for label, d in zip(labels[: i + 1], dlists)
+            )
+        )
+        reached = reach(lts, lts.initial, prefix)
+        enabled = {label for s in reached for label, _ in lts.outgoing(s)}
+        for stuck in sorted(lts.alphabet - enabled)[:1]:
+            longer = (dl[0] + (stuck,),) + dl[1:]
+            yield Computation(states, labels, dlists[:i] + (longer,) + dlists[i + 1 :])
+
+
+_VALIDITY_FLAGS = (
+    ("valid_path", "path"),
+    ("valid_sizes", "size-compatibility"),
+    ("valid_traces", "trace"),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ctx=_contexts())
+def test_oracle_validity_flags_match_the_definition(ctx):
+    lts = ctx.lts
+    for k in range(5):
+        for report in causes(ctx, k).causes:
+            comp = report.computation
+            for c in (comp, *_malformed(lts, comp)):
+                details = oracle_check_details(ctx, c, k)
+                reference = validate_computation(lts, c)
+                anchored = c.states[0] == lts.initial
+                assert (
+                    details["valid_path"]
+                    and details["valid_sizes"]
+                    and details["valid_traces"]
+                ) == (reference.valid and anchored)
+                first_false = next(
+                    (kind for flag, kind in _VALIDITY_FLAGS if not details[flag]),
+                    None,
+                )
+                # a core that starts elsewhere fails the oracle's path flag
+                # whatever else is wrong with it
+                assert first_false == (reference.violation if anchored else "path")
 
 
 # ---------------------------------------------------------------- metamorphic

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_formula, seeded_lts
+from helpers import init_actions, rand_formula, seeded_lts
 from hmlcause import (
     And,
     Box,
@@ -20,7 +20,6 @@ from hmlcause import (
     Top,
     format_formula,
     formula_alphabet,
-    init_actions,
     is_immediate_effect,
     parse_formula,
     satisfies,

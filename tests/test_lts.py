@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import seeded_lts, w, words
+from helpers import init_actions, seeded_lts, w, words
 from hmlcause import (
     AutParseError,
     CHOICE_INITIAL,
@@ -16,7 +19,6 @@ from hmlcause import (
     choice,
     emit_aut,
     emit_dot,
-    init_actions,
     interleave,
     is_acyclic,
     isomorphic,
@@ -222,6 +224,14 @@ def test_isomorphic_mismatched_alphabets():
     assert isomorphic(t1, relabeled) is None
 
 
+def test_isomorphic_maps_long_chains_without_recursion():
+    # one search position per state: deeper than a recursive search could go
+    n = 3000
+    chain = make_lts(0, [(i, "a", i + 1) for i in range(n)])
+    renamed = make_lts("r0", [(f"r{i}", "a", f"r{i + 1}") for i in range(n)])
+    assert isomorphic(chain, renamed) == {i: f"r{i}" for i in range(n + 1)}
+
+
 # ---------------------------------------------------------------- shape
 
 
@@ -232,6 +242,33 @@ def test_acyclicity_and_longest_path():
     assert is_acyclic(t1) and longest_acyclic_path(t1) == 2
     assert not is_acyclic(t2) and longest_acyclic_path(t2) is None
     assert not is_acyclic(t5)
+
+
+def test_longest_acyclic_path_leaves_no_garbage():
+    systems = [FIX[name][0] for name in ("t1", "t2", "t4", "t5", "t6")]
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        gc.garbage.clear()
+        for lts in systems:
+            longest_acyclic_path(lts)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_longest_acyclic_path_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the recursion limit was changed")
+
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    chain = make_lts(0, [(i, "a", i + 1) for i in range(5000)])
+    assert longest_acyclic_path(chain) == 5000
+    assert sys.getrecursionlimit() == limit
 
 
 def test_restrict_to_reachable_drops_orphans():
