@@ -21,7 +21,7 @@ from .computation import (
     size_compatible,
     trivial_computation,
 )
-from .hml import EffectContext, format_formula, satisfies, states_satisfying
+from .hml import EffectContext, format_formula, states_satisfying
 from .lts import (
     Lts,
     Word,
@@ -423,13 +423,13 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # gap per consumed count, since a smaller gap admits every continuation a
 # larger one does; a subtree where the program runs empty is skipped whole.
 # Traces are re-expanded entry by entry and looked up in the same trie, as
-# are the core's smaller label words, and satisfaction is evaluated per state.
+# are the core's smaller label words.  The effect enters only as the set of
+# states satisfying it, which the tests hold to the definition.
 
 
 class _OracleView:
     """The oracle's own view of one system: its reachable states, its longest
-    path, one satisfaction map per formula, and a trie of its executable
-    words.
+    path and a trie of its executable words.
 
     Trie rows are [last letter, reached states, index just past the row's
     subtree] in depth-first order with letters sorted; row 0 is the empty
@@ -441,17 +441,8 @@ class _OracleView:
         self.lts = lts
         self.reachable = reachable_states(lts)
         self.longest = longest_acyclic_path(lts)
-        self._sat_maps: dict = {}
         self.rows: list[list] = []
         self._depth = -1
-
-    def sat_map(self, formula) -> dict:
-        found = self._sat_maps.get(formula)
-        if found is None:
-            found = self._sat_maps[formula] = {
-                s: satisfies(self.lts, s, formula) for s in self.lts.states
-            }
-        return found
 
     def _trie(self, depth: int) -> list[list]:
         if depth <= self._depth:
@@ -550,7 +541,7 @@ def _oracle_view(lts: Lts) -> _OracleView:
 
 def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     """Per-condition outcome of the naive re-verification of a computation."""
-    lts, formula = ctx.lts, ctx.formula
+    lts = ctx.lts
     details = {
         "valid_path": True,
         "valid_sizes": True,
@@ -579,48 +570,40 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     view = _oracle_view(lts)
     core_word = c.labels
     # the core's shape fixes the trie, so every row index below is stable
-    shaped = view.shape_rows(core_word, k)
-    traced: dict[Word, frozenset] = {}
-    traced_rows: set = set()
+    shaped = set(view.shape_rows(core_word, k))
+    traced: dict[Word, tuple] = {}
     for word in computation_traces(c):
         row, reached = view.lookup(word)
         if not reached:
             details["valid_traces"] = False
             return details
-        traced[word] = reached
-        traced_rows.add(row)
+        traced[word] = (row, reached)
     # the core word is judged even when it is a trace
-    traced_rows.discard(view.lookup(core_word)[0])
+    core_row = view.lookup(core_word)[0]
+    traced_rows = {row for row, _ in traced.values()} - {core_row}
 
-    sat_map = view.sat_map(formula)
-    details["ac1"] = sat_map[c.states[-1]]
-    details["ac2a"] = any(not sat_map[s] for s in view.reachable)
+    sat = states_satisfying(lts, ctx.formula)
+    details["ac1"] = c.states[-1] in sat
+    details["ac2a"] = not view.reachable <= sat
 
     rows = view.rows
-    ac2b = True
-    for i in shaped:
-        if i in traced_rows:
-            continue
-        if any(not sat_map[s] for s in rows[i][1]):
-            ac2b = False
-            break
-    details["ac2b"] = ac2b
-
-    ac2c = True
-    for word, reached in traced.items():
-        if word == core_word:
-            continue
-        if any(sat_map[s] for s in reached):
-            ac2c = False
-            break
-    details["ac2c"] = ac2c
+    details["ac2b"] = all(
+        rows[i][1] <= sat for i in shaped if i not in traced_rows
+    )
+    # a trace outside the bounded universe (no row, or a row off the shape)
+    # is no continuation the bound admits
+    details["ac2c"] = all(
+        row in shaped and reached.isdisjoint(sat)
+        for word, (row, reached) in traced.items()
+        if word != core_word
+    )
 
     ac3 = True
     if details["ac2a"]:
         for smaller in sorted(subwords(core_word)):
-            if not any(sat_map[s] for s in view.lookup(smaller)[1]):
+            if view.lookup(smaller)[1].isdisjoint(sat):
                 continue
-            if _admits_candidate(view, sat_map, smaller, k):
+            if _admits_candidate(view, sat, smaller, k):
                 ac3 = False
                 break
     details["ac3"] = ac3
@@ -628,7 +611,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
 
 
 def _admits_candidate(
-    view: _OracleView, sat_map: dict, core_word: Word, k: int
+    view: _OracleView, sat: frozenset, core_word: Word, k: int
 ) -> bool:
     """Extension lists for this label word exist exactly when no bounded
     shaped word straddles the effect boundary and the word itself always
@@ -637,11 +620,11 @@ def _admits_candidate(
     core_row = view.lookup(core_word)[0]
     rows = view.rows
     for i in shaped:
-        flags = {sat_map[s] for s in rows[i][1]}
+        reached = rows[i][1]
         if i == core_row:
-            if False in flags:
+            if not reached <= sat:
                 return False
-        elif len(flags) == 2:
+        elif not (reached <= sat or reached.isdisjoint(sat)):
             return False
     return True
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lts import State, Word, _state_from_json, _state_to_json, format_state
+from .lts import State, Word, format_state
 
 
 @dataclass(frozen=True)
@@ -61,25 +61,6 @@ class Computation:
     @property
     def is_trivial(self) -> bool:
         return not self.labels
-
-    def to_json(self) -> dict:
-        return {
-            "states": [_state_to_json(s) for s in self.states],
-            "labels": list(self.labels),
-            "dlists": [[list(w) for w in dl] for dl in self.dlists],
-            "truncated": self.truncated,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Computation":
-        return Computation(
-            states=tuple(_state_from_json(s) for s in obj["states"]),
-            labels=tuple(obj["labels"]),
-            dlists=tuple(
-                tuple(tuple(w) for w in dl) for dl in obj["dlists"]
-            ),
-            truncated=bool(obj.get("truncated", False)),
-        )
 
 
 def trivial_computation(state: State) -> Computation:

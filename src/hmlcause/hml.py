@@ -286,47 +286,40 @@ def formula_alphabet(f: Formula) -> frozenset:
 
 
 def satisfies(lts: Lts, s: State, f: Formula) -> bool:
-    """Satisfaction at a single state, by direct recursion on the formula."""
+    """Satisfaction at a single state."""
     if s not in lts.states:
         raise ValueError(f"unknown state {format_state(s)!r}")
-    match f:
-        case Top():
-            return True
-        case Diamond(label, body):
-            return any(satisfies(lts, t, body) for t in lts.successors(s, label))
-        case Box(label, body):
-            return all(satisfies(lts, t, body) for t in lts.successors(s, label))
-        case Not(body):
-            return not satisfies(lts, s, body)
-        case And(left, right):
-            return satisfies(lts, s, left) and satisfies(lts, s, right)
-        case Or(left, right):
-            return satisfies(lts, s, left) or satisfies(lts, s, right)
-    raise TypeError(f"not a formula: {f!r}")
+    return s in states_satisfying(lts, f)
 
 
 @lru_cache(maxsize=4096)
 def states_satisfying(lts: Lts, f: Formula) -> frozenset:
     """The set of states satisfying f, computed bottom-up over the formula."""
+    return _evaluate(lts, f)
+
+
+def _evaluate(lts: Lts, f: Formula) -> frozenset:
+    """`states_satisfying` without its cache, which keeps whole formulas
+    only: one entry per question asked, not one per subformula."""
     match f:
         case Top():
             return frozenset(lts.states)
         case Diamond(label, body):
-            sat = states_satisfying(lts, body)
+            sat = _evaluate(lts, body)
             return frozenset(
                 s for s in lts.states if lts.successors(s, label) & sat
             )
         case Box(label, body):
-            sat = states_satisfying(lts, body)
+            sat = _evaluate(lts, body)
             return frozenset(
                 s for s in lts.states if lts.successors(s, label) <= sat
             )
         case Not(body):
-            return frozenset(lts.states) - states_satisfying(lts, body)
+            return frozenset(lts.states) - _evaluate(lts, body)
         case And(left, right):
-            return states_satisfying(lts, left) & states_satisfying(lts, right)
+            return _evaluate(lts, left) & _evaluate(lts, right)
         case Or(left, right):
-            return states_satisfying(lts, left) | states_satisfying(lts, right)
+            return _evaluate(lts, left) | _evaluate(lts, right)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -352,4 +345,4 @@ class EffectContext:
 
 def is_immediate_effect(ctx: EffectContext) -> bool:
     """True when the effect already holds at the initial state."""
-    return satisfies(ctx.lts, ctx.lts.initial, ctx.formula)
+    return ctx.lts.initial in states_satisfying(ctx.lts, ctx.formula)

@@ -40,12 +40,6 @@ def _state_to_json(s: State):
     return s
 
 
-def _state_from_json(obj) -> State:
-    if isinstance(obj, list):
-        return tuple(_state_from_json(part) for part in obj)
-    return obj
-
-
 @dataclass(frozen=True)
 class Lts:
     """Immutable LTS: a finite state set, one initial state, a finite label
@@ -488,21 +482,16 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
         return True
 
     # depth-first search with one candidate iterator per assigned position;
-    # the candidates of a position are the unused ones when it is entered
+    # `used` is back at its entry value whenever a position's iterator resumes
     stack: list = []
     i = 0
     while i < len(order):
         s = order[i]
         if len(stack) == i:
-            stack.append(
-                iter(
-                    [right.initial]
-                    if s == left.initial
-                    else [t for t in by_sig[lsig[s]] if t not in used]
-                )
-            )
+            candidates = [right.initial] if s == left.initial else by_sig[lsig[s]]
+            stack.append(iter(candidates))
         for t in stack[i]:
-            if t in used or rsig[t] != lsig[s]:
+            if t in used:
                 continue
             if not consistent(s, t):
                 continue

@@ -23,11 +23,10 @@ from .hml import (
     Formula,
     Not,
     Or,
-    is_immediate_effect,
+    _evaluate,
     parse_formula,
-    satisfies,
 )
-from .lts import Lts, format_state, longest_acyclic_path, make_lts, reachable_states
+from .lts import Lts, longest_acyclic_path, make_lts, reachable_states
 
 
 @dataclass(frozen=True)
@@ -116,14 +115,13 @@ def gen_effect(p: GenParams, lts: Lts) -> Formula:
     occurred initially but can occur somewhere reachable.  Deterministic in
     p; raises after a bounded number of rejected draws."""
     labels = sorted(lts.alphabet)
-    reachable = sorted(reachable_states(lts), key=format_state)
+    reachable = reachable_states(lts)
     for attempt in range(RETRY_BUDGET):
         rng = random.Random(f"effect/{p.seed}/{p.namespace}/{attempt}")
         formula = _random_formula(rng, labels, p.formula_depth)
-        ctx = EffectContext(lts, formula)
-        if is_immediate_effect(ctx):
-            continue
-        if any(satisfies(lts, s, formula) for s in reachable):
+        # uncached: most draws are rejected and never asked about again
+        sat = _evaluate(lts, formula)
+        if lts.initial not in sat and not sat.isdisjoint(reachable):
             return formula
     raise RuntimeError(
         f"no usable effect found in {RETRY_BUDGET} draws; "

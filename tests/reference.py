@@ -1,9 +1,11 @@
 """References that the tests hold the package to.
 
+- `satisfies`, HML satisfaction at one state by direct recursion on the
+  formula, the definition that `states_satisfying` is held to.
 - The shaped-word universe spelled out word by word, the oracle's trie walk
   spelled back into words, and the oracle as it was when it reached every
   traced word letter by letter with `reach` and skipped traced words by
-  their spelling.
+  their spelling, with its own satisfaction map built with `satisfies`.
 - `validate_computation`, the paper's definition of a computation checked
   requirement by requirement, which the oracle's validity flags must match.
 - `sub_cores`, every core below a given one, as the minimality reference.
@@ -19,10 +21,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hmlcause import (
+    And,
+    Box,
     Computation,
     Core,
+    Diamond,
     EffectContext,
+    Formula,
     Lts,
+    Not,
+    Or,
+    Top,
     format_state,
     reach,
     step,
@@ -30,7 +39,27 @@ from hmlcause import (
 )
 from hmlcause.causality import _oracle_view, _OracleView, _require_valid_core
 from hmlcause.computation import computation_traces, size_compatible
-from hmlcause.lts import Word
+from hmlcause.lts import State, Word
+
+
+def satisfies(lts: Lts, s: State, f: Formula) -> bool:
+    """Satisfaction at a single state, by direct recursion on the formula."""
+    if s not in lts.states:
+        raise ValueError(f"unknown state {format_state(s)!r}")
+    match f:
+        case Top():
+            return True
+        case Diamond(label, body):
+            return any(satisfies(lts, t, body) for t in lts.successors(s, label))
+        case Box(label, body):
+            return all(satisfies(lts, t, body) for t in lts.successors(s, label))
+        case Not(body):
+            return not satisfies(lts, s, body)
+        case And(left, right):
+            return satisfies(lts, s, left) and satisfies(lts, s, right)
+        case Or(left, right):
+            return satisfies(lts, s, left) or satisfies(lts, s, right)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def shaped_words(lts: Lts, core_labels: Word, k: int) -> dict:
@@ -111,9 +140,10 @@ def _word_admits_candidate(
 
 
 def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
-    """`oracle_check_details` as it was before it read traced words off its
-    trie: every word it checks is reached with `reach`, and traced words are
-    skipped in AC2(b) by their spelling."""
+    """`oracle_check_details` keyed on words rather than trie rows: every
+    word it checks is reached with `reach`, traced words are skipped in
+    AC2(b) and held to the shape in AC2(c) by their spelling, and
+    satisfaction is evaluated state by state."""
     lts, formula = ctx.lts, ctx.formula
     details = {
         "valid_path": True,
@@ -149,13 +179,14 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         traced[word] = reached
 
     view = _oracle_view(lts)
-    sat_map = view.sat_map(formula)
+    sat_map = {s: satisfies(lts, s, formula) for s in lts.states}
     details["ac1"] = sat_map[c.states[-1]]
     details["ac2a"] = any(not sat_map[s] for s in view.reachable)
 
     core_word = c.labels
+    shaped = shaped_row_words(view, core_word, k)
     ac2b = True
-    for word, reached in shaped_row_words(view, core_word, k):
+    for word, reached in shaped:
         if word != core_word and word in traced:
             continue
         if any(not sat_map[s] for s in reached):
@@ -163,11 +194,12 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
             break
     details["ac2b"] = ac2b
 
+    universe = {word for word, _ in shaped}
     ac2c = True
     for word, reached in traced.items():
         if word == core_word:
             continue
-        if any(sat_map[s] for s in reached):
+        if word not in universe or any(sat_map[s] for s in reached):
             ac2c = False
             break
     details["ac2c"] = ac2c

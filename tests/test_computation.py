@@ -77,22 +77,6 @@ def test_trivial_computation():
     assert computation_traces(c) == frozenset({()})
 
 
-def test_computation_json_round_trip():
-    c = Computation(
-        ("s40", "s42"),
-        ("a",),
-        ((w("bb"), w("bh"), w("h")),),
-        truncated=False,
-    )
-    assert Computation.from_json(c.to_json()) == c
-    assert c.to_json() == {
-        "states": ["s40", "s42"],
-        "labels": ["a"],
-        "dlists": [[["b", "b"], ["b", "h"], ["h"]]],
-        "truncated": False,
-    }
-
-
 # ---------------------------------------------------------------- validity
 
 

@@ -30,7 +30,6 @@ from hmlcause import (
     oracle_check_cause,
     oracle_check_details,
     reach,
-    satisfies,
     step,
 )
 from hmlcause.causality import (
@@ -43,6 +42,7 @@ from hmlcause.causality import (
 from hmlcause.testkit import fixtures
 from reference import (
     brute_longest_acyclic_path,
+    satisfies,
     shaped_row_words,
     shaped_words,
     spell_row,
@@ -346,10 +346,10 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
         assert oracle_check_cause(ctx, comp, k)
         emitted[comp.core] = comp
 
-    sat_map = {s: satisfies(lts, s, ctx.formula) for s in lts.states}
+    sat = frozenset(s for s in lts.states if satisfies(lts, s, ctx.formula))
     for core in _path_cores(lts, k):
-        admits = sat_map[core.final] and _admits_candidate(
-            _oracle_view(lts), sat_map, core.labels, k
+        admits = core.final in sat and _admits_candidate(
+            _oracle_view(lts), sat, core.labels, k
         )
         comp, _ = cause_candidate(ctx, core, k)
         assert (comp is not None) == admits
@@ -385,6 +385,24 @@ def test_oracle_rejects_a_cause_with_one_trace_dropped(ctx):
 def test_oracle_rejects_a_fixture_cause_with_one_trace_dropped(name):
     ctx = fixture_context(name)
     _assert_dropping_any_trace_breaks_ac2b(ctx, len(ctx.lts.states))
+
+
+@pytest.mark.parametrize(
+    "name, k, entry", [("t4", 1, ("b", "b")), ("t5", 2, ("i", "i", "h"))]
+)
+def test_oracle_rejects_a_trace_longer_than_the_bound(name, k, entry):
+    # the added trace is executable and escapes the effect, but has more
+    # than k letters after the core letter
+    ctx = fixture_context(name)
+    (report,) = causes(ctx, k).causes
+    comp = report.computation
+    longer = Computation(
+        comp.states, comp.labels, (comp.dlists[0] + (entry,),), comp.truncated
+    )
+    details = oracle_check_details(ctx, longer, k)
+    assert details["ac2c"] is False
+    assert details == word_oracle_details(ctx, longer, k)
+    assert not oracle_check_cause(ctx, longer, k)
 
 
 def _lengthened(lts: Lts, comp: Computation, k: int):

@@ -5,27 +5,34 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import init_actions, rand_formula, seeded_lts
+import reference
+from helpers import FIXTURE_DIR, init_actions, rand_formula, seeded_lts
 from hmlcause import (
     And,
     Box,
     Diamond,
     EffectContext,
     FormulaParseError,
+    Lts,
     Not,
     Or,
     Top,
+    causes,
     format_formula,
     formula_alphabet,
     is_immediate_effect,
+    make_lts,
+    oracle_check_cause,
     parse_formula,
     satisfies,
     states_satisfying,
 )
+from hmlcause.cli import main
 from hmlcause.testkit import fixture_context, fixtures
+from test_differential import _contexts
 
 FIX = fixtures()
 
@@ -137,12 +144,77 @@ def test_satisfies_unknown_state():
         satisfies(FIX["t1"][0], "ghost", Top())
 
 
-def test_states_satisfying_matches_pointwise():
-    t6 = FIX["t6"][0]
-    phi = parse_formula("[a]<h>tt | <b>tt")
-    sat = states_satisfying(t6, phi)
-    for s in t6.states:
-        assert (s in sat) == satisfies(t6, s, phi)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ctx=_contexts(), seed=st.integers(0, 10_000), depth=st.integers(0, 4))
+@example(
+    ctx=EffectContext(FIX["t6"][0], parse_formula("[a]<h>tt | <b>tt")),
+    seed=0,
+    depth=0,
+)
+def test_states_satisfying_matches_pointwise(ctx, seed, depth):
+    lts = ctx.lts
+    drawn = rand_formula(random.Random(seed), sorted(lts.alphabet), depth)
+    for f in (ctx.formula, drawn):
+        assert states_satisfying(lts, f) == frozenset(
+            s for s in lts.states if reference.satisfies(lts, s, f)
+        )
+
+
+# ---------------------------------------------------------------- deep formulas
+#
+# Each case runs with a budget of successor lookups that a per-state
+# recursion, exponential in the modal depth on a branching system, exceeds
+# at once.
+
+
+@pytest.fixture
+def successor_budget(monkeypatch):
+    lookup = Lts.successors
+    calls = 0
+
+    def counted(self, s, label):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("successor lookup budget exceeded")
+        return lookup(self, s, label)
+
+    monkeypatch.setattr(Lts, "successors", counted)
+
+
+BOXES = "[a]" * 99 + "tt"
+
+
+@pytest.fixture
+def all_a(tmp_path):
+    """Two states, each with an a-step to both."""
+    path = tmp_path / "all_a.aut"
+    path.write_text('des (0,4,2)\n(0,"a",0)\n(0,"a",1)\n(1,"a",0)\n(1,"a",1)\n')
+    return str(path)
+
+
+def test_check_evaluates_the_deepest_formula(successor_budget, all_a, capsys):
+    assert main(["check", all_a, BOXES]) == 0
+    assert capsys.readouterr().out == "initial state 0 satisfies the formula\n"
+
+
+def test_law_preconditions_evaluate_the_deepest_formula(
+    successor_budget, all_a, capsys
+):
+    right = str(FIXTURE_DIR / "fig3_tp.aut")
+    argv = ["verify", all_a, right, BOXES, "<h'>tt", "--theorem", "disjunction"]
+    assert main(argv) == 1
+    assert "effect already holds at the initial state" in capsys.readouterr().out
+
+
+def test_oracle_evaluates_the_deepest_formula(successor_budget):
+    lts = make_lts(
+        0, [(0, "c", 1), (1, "a", 1), (1, "a", 2), (2, "a", 1), (2, "a", 2)]
+    )
+    ctx = EffectContext(lts, parse_formula("[a]" * 97 + "tt & <a>tt"))
+    (report,) = causes(ctx, 3).causes
+    assert report.computation.labels == ("c",)
+    assert oracle_check_cause(ctx, report.computation, 3)
 
 
 # ---------------------------------------------------------------- context
