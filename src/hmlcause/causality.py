@@ -9,10 +9,11 @@ the analysis exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .computation import (
     Computation,
@@ -71,7 +72,7 @@ class ConditionReport:
 @dataclass(frozen=True)
 class CauseReport:
     computation: Computation
-    kill_traces: frozenset
+    kill_traces: AbstractSet[Word]
 
     def sort_key(self):
         return self.computation.core.sort_key()
@@ -196,9 +197,11 @@ def _evaluate_core(
     forward, so there are no cycles.  A word reaches the same states
     whatever the bound and the universe at k lies inside the one at k+1, so
     the bound is truncating exactly when a node accepted at k+1 but not at k
-    reaches a state outside the effect.  Only kill words are spelled out, in
-    sorted order, and each one's extension-list entries are cut at the
-    leftmost match of every core letter along its path.
+    reaches a state outside the effect.  No word is spelled here: the kill
+    set is a KillSet over the productive sub-DAG (the nodes from which a
+    kill node can be reached) and the extension lists are an
+    ExtensionLists that it fills when first read.  Without kill words they
+    are an empty frozenset and m empty tuples.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
@@ -261,31 +264,146 @@ def _evaluate_core(
                 edges[child] = []
                 stack.append(child)
 
-    # children before parents: an edge raises the lowest position at k+1
-    productive = set(kill_nodes)
+    # children before parents: an edge raises the lowest position at k+1.
+    # Each productive node (a kill node, or one with a productive child) is
+    # numbered and kept as (kill flag, path count, productive children as
+    # (label, number) pairs).  Those tuples hold only str and int, so the
+    # cyclic collector stops scanning them, and `edges` dies on return.
+    number: dict[tuple, int] = {}
+    nodes: list[tuple] = []
     for node in sorted(edges, key=lambda n: n[2] & -n[2], reverse=True):
-        if any(child in productive for _, child in edges[node]):
-            productive.add(node)
-    # depth first in label order, so the kill words come out sorted; each
-    # path carries where it matched the core letters, leftmost first
+        children = [
+            (label, number[child]) for label, child in edges[node] if child in number
+        ]
+        is_kill = node in kill_nodes
+        if is_kill or children:
+            count = is_kill
+            for _, child in children:
+                count += nodes[child][1]
+            number[node] = len(nodes)
+            nodes.append((is_kill, count, tuple(children)))
+    if root not in number:
+        return frozenset(), ((),) * m, truncated
+    kill = KillSet(labels, tuple(nodes), number[root])
+    return kill, ExtensionLists(kill), truncated
+
+
+def _spell(labels: Word, nodes: tuple, root: int) -> tuple[list, tuple]:
+    """(kill words, extension lists) of a numbered productive DAG.  Depth
+    first in label order, so the kill words come out sorted; each path
+    carries where it matched the core letters, leftmost first, and a kill
+    word's entries are the word cut at those matches."""
+    m = len(labels)
     kill: list[Word] = []
     entries: list[tuple] = []
-    spell = [(root, (), ())] if root in productive else []
+    spell = [(root, (), ())]
     while spell:
         node, word, matched = spell.pop()
-        if node in kill_nodes:
+        is_kill, _, children = nodes[node]
+        if is_kill:
             cuts = matched + (len(word),)
             kill.append(word)
             entries.append(tuple(word[cuts[t] + 1 : cuts[t + 1]] for t in range(m)))
-        for label, child in reversed(edges[node]):
-            if child not in productive:
-                continue
+        for label, child in reversed(children):
             if len(matched) < m and label == labels[len(matched)]:
                 spell.append((child, word + (label,), matched + (len(word),)))
             else:
                 spell.append((child, word + (label,), matched))
-    dlists = tuple(tuple(gaps[t] for gaps in entries) for t in range(m))
-    return frozenset(kill), dlists, truncated
+    return kill, tuple(tuple(gaps[t] for gaps in entries) for t in range(m))
+
+
+class KillSet(Set):
+    """The kill words of one core, held as the productive DAG that judged
+    it and spelled only when they are read.
+
+    `len` is the root's path count and `in` walks the word down the DAG, so
+    neither spells a word; as with a frozenset, a probe that is not a tuple
+    is no member and an unhashable one raises TypeError.  Iterating or hashing spells every word once,
+    keeps them as a frozenset (which is what equality and hashing see),
+    fills the core's extension lists and lets the DAG go.
+    """
+
+    __slots__ = ("_labels", "_nodes", "_root", "_len", "_words", "_dlists")
+
+    def __init__(self, labels: Word, nodes: tuple, root: int) -> None:
+        self._labels = labels
+        self._nodes: Optional[tuple] = nodes
+        self._root = root
+        self._len = nodes[root][1]
+        self._words: Optional[frozenset] = None
+        self._dlists: Optional[tuple] = None
+
+    def _spelled(self) -> frozenset:
+        if self._words is None:
+            kill, self._dlists = _spell(self._labels, self._nodes, self._root)
+            self._words, self._nodes = frozenset(kill), None
+        return self._words
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(self._spelled())
+
+    def __contains__(self, word) -> bool:
+        hash(word)  # an unhashable probe raises TypeError, as with a frozenset
+        if self._words is not None:
+            return word in self._words
+        if not isinstance(word, tuple):
+            return False
+        nodes, node = self._nodes, self._root
+        for letter in word:
+            for label, child in nodes[node][2]:
+                if label == letter:
+                    node = child
+                    break
+            else:
+                return False
+        return nodes[node][0]
+
+    def __hash__(self) -> int:
+        return hash(self._spelled())
+
+    def __repr__(self) -> str:
+        return f"KillSet({set(self._spelled())!r})"
+
+
+class ExtensionLists(Sequence):
+    """A core's m extension lists, spelled by its KillSet on first read;
+    equal to and hashed as the tuple of tuples they spell."""
+
+    __slots__ = ("_kill",)
+
+    def __init__(self, kill: KillSet) -> None:
+        self._kill = kill
+
+    def _lists(self) -> tuple:
+        self._kill._spelled()
+        return self._kill._dlists
+
+    def __len__(self) -> int:
+        return len(self._kill._labels)
+
+    def __getitem__(self, i):
+        return self._lists()[i]
+
+    def __iter__(self):
+        return iter(self._lists())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExtensionLists):
+            other = other._lists()
+        return self._lists() == other
+
+    def __hash__(self) -> int:
+        return hash(self._lists())
+
+    def __repr__(self) -> str:
+        return repr(self._lists())
 
 
 def cause_candidate(

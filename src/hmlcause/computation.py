@@ -38,14 +38,15 @@ class Core:
 class Computation:
     """A core whose steps each carry a finite list of extension words.
 
-    The extension lists must be size-compatible: one entry per expanded
-    trace, the same count on every step.  `truncated` records that the lists
+    `dlists` is any sequence of m size-compatible lists: the same number of
+    entries on every step, one per expanded trace.  The cause engine's
+    lists are spelled on first read.  `truncated` records that the lists
     were cut off at an exploration bound and would grow at a larger one.
     """
 
     states: tuple
     labels: Word
-    dlists: tuple
+    dlists: Sequence[Sequence[Word]]
     truncated: bool = False
 
     def __post_init__(self) -> None:
@@ -80,7 +81,7 @@ def computation_traces(c: Computation) -> frozenset:
     entry j of every list is spliced after its label, producing one word per
     entry position; only those spliced words are traces.
     """
-    labels, dlists = c.labels, c.dlists
+    labels, dlists = c.labels, tuple(c.dlists)
     if not size_compatible(dlists):
         raise ValueError("extension lists are not size-compatible")
     count = len(dlists[0]) if dlists else 0

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import ROOT, verify_both, w
 from hmlcause import (
+    And,
     EffectContext,
     Or,
     causal_projection,
@@ -19,6 +20,7 @@ from hmlcause import (
     choice,
     cross_check_disjunction_lifting,
     cross_check_single_component,
+    emit_aut,
     interleave,
     isomorphic,
     make_lts,
@@ -28,6 +30,8 @@ from hmlcause import (
     verify_disjunction_theorem,
     write_counterexample_bundle,
 )
+from hmlcause import causality
+from hmlcause.cli import main
 from hmlcause.testkit import corpus, fixture_context
 
 FIG3_L = fixture_context("fig3_t")
@@ -168,8 +172,6 @@ def test_conjunction_on_branching_fixture():
 
 
 def test_conjunction_sides_are_the_cause_interleavings():
-    from hmlcause import And
-
     composite = EffectContext(
         interleave(FIG3_L.lts, FIG3_R.lts),
         And(FIG3_L.formula, FIG3_R.formula),
@@ -193,6 +195,57 @@ def test_conjunction_with_one_empty_side():
     assert [c.computation.labels for c in causes(right).causes] == [("Ra",)]
     assert verify_conjunction_theorem(left, right).verdict == "holds"
     assert verify_disjunction_theorem(left, right).verdict == "holds"
+
+
+def cyclic_pair():
+    """A 25-state, 60-transition interleaving whose "both effects" context
+    has millions of kill words per core at bound 4."""
+    left = EffectContext(
+        make_lts(
+            "q0",
+            [("q0", "Lc", "q1"), ("q1", "Lc", "q2"), ("q2", "Lb", "q4"), ("q2", "Lc", "q3")],
+            extra_labels=["La", "Lb", "Lc"],
+        ),
+        parse_formula("<Lc>([La]!tt & <Lb>tt)"),
+    )
+    right = EffectContext(
+        make_lts(
+            "q0",
+            [
+                ("q0", "Ra", "q2"), ("q0", "Rb", "q0"), ("q0", "Rc", "q1"),
+                ("q1", "Rb", "q3"), ("q2", "Ra", "q0"), ("q2", "Ra", "q4"),
+                ("q2", "Rc", "q2"), ("q3", "Rb", "q2"),
+            ],
+        ),
+        parse_formula("<Ra>[Rc](!tt & tt)"),
+    )
+    return left, right
+
+
+def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kill set was spelled")
+
+    monkeypatch.setattr(causality, "_spell", refuse)
+    left, right = cyclic_pair()
+    assert verify_conjunction_theorem(left, right, 4).verdict == "holds"
+    both = EffectContext(
+        interleave(left.lts, right.lts), And(left.formula, right.formula)
+    )
+    assert [len(r.kill_traces) for r in causes(both, 4).causes] == [
+        15864, 11881364, 15277, 4796055, 4171823, 3467350
+    ]
+
+
+def test_cli_verifies_the_conjunction_law_on_the_cyclic_pair(tmp_path, capsys):
+    argv = ["verify", "--theorem", "conjunction"]
+    for name, ctx in zip(("left", "right"), cyclic_pair()):
+        path = tmp_path / f"{name}.aut"
+        path.write_text(emit_aut(ctx.lts))
+        argv.append(str(path))
+    argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "conjunction: holds-at-bound (bound 4)\n"
 
 
 def test_verify_both_returns_paired_reports():

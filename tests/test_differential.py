@@ -29,6 +29,7 @@ from hmlcause import (
     make_lts,
     oracle_check_cause,
     oracle_check_details,
+    parse_formula,
     reach,
     step,
 )
@@ -39,6 +40,7 @@ from hmlcause.causality import (
     _OracleView,
     _StateSets,
 )
+from hmlcause.computation import computation_traces
 from hmlcause.testkit import fixtures
 from reference import (
     brute_longest_acyclic_path,
@@ -186,9 +188,101 @@ def test_kernel_matches_word_level_reference(system, k, longest):
         universe = shaped_words(lts, labels, k)
         universe_next = shaped_words(lts, labels, k + 1)
         for exact in (True, False):
-            assert _evaluate_core(space, labels, k, exact) == _word_level_evaluate(
+            evaluated = _evaluate_core(space, labels, k, exact)
+            reference = _word_level_evaluate(
                 universe, universe_next, sat, labels, exact
             )
+            if evaluated is not None:
+                probes = _probes(universe_next, labels)
+                _assert_same_kills_and_lists(evaluated, reference, probes)
+            assert evaluated == reference
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_systems(), k=st.integers(1, 3))
+def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
+    # every state gets an e-step into a fresh dead end x, and the effect is
+    # the least state set that holds what the core word reaches and that
+    # each word reaches only inside or only outside of.  x stays outside
+    # (a word ending in e reaches x alone), so every executable core is
+    # clean at k and its word followed by e is a kill
+    drawn, _ = system
+    lts = make_lts(
+        drawn.initial,
+        [*drawn.transitions, *((s, "e", "x") for s in drawn.states)],
+        extra_labels=drawn.alphabet,
+        extra_states=drawn.states,
+    )
+    alphabet = sorted(drawn.alphabet)
+    for labels in itertools.chain(
+        itertools.product(alphabet, repeat=1), itertools.product(alphabet, repeat=2)
+    ):
+        universe = shaped_words(lts, labels, k)
+        if labels not in universe:
+            continue
+        effect = universe[labels]
+        mixed = [r for r in universe.values() if r & effect and not r <= effect]
+        while mixed:
+            effect = effect.union(*mixed)
+            mixed = [r for r in universe.values() if r & effect and not r <= effect]
+        universe_next = shaped_words(lts, labels, k + 1)
+        probes = _probes(universe_next, labels)
+        space = _StateSets(lts, effect)
+        for exact in (True, False):
+            evaluated = _evaluate_core(space, labels, k, exact)
+            reference = _word_level_evaluate(
+                universe, universe_next, effect, labels, exact
+            )
+            assert labels + ("e",) in reference[0]
+            _assert_same_kills_and_lists(evaluated, reference, probes)
+            assert evaluated == reference
+
+
+def _probes(universe_next, labels):
+    """Every prefix of the words at k+1, which all end inside the DAG, and
+    three that are not words of it; a string spells a word letter by letter
+    but is not one."""
+    probes = [word[:i] for word in universe_next for i in range(len(word) + 1)]
+    return probes + [labels + ("z",), "".join(labels), None]
+
+
+def _assert_same_kills_and_lists(evaluated, reference, probes):
+    # length and membership first, while the kill set is still unspelled
+    kill, dlists, _ = evaluated
+    reference_kill, reference_dlists, _ = reference
+    assert len(kill) == len(reference_kill)
+    for word in probes:
+        assert (word in kill) == (isinstance(word, tuple) and word in reference_kill)
+    with pytest.raises(TypeError):
+        [] in kill
+    assert hash(kill) == hash(reference_kill)
+    assert dlists == reference_dlists and reference_dlists == dlists
+
+
+def test_kernel_spells_the_loop_family_in_closed_form():
+    # s0 -a-> s1, s1 -{i,j}-> s1, s1 -h-> s2: the kill words at k are
+    # a {i,j}^j h for j < k, 2^k - 1 of them
+    lts = make_lts(
+        "s0",
+        [("s0", "a", "s1"), ("s1", "i", "s1"), ("s1", "j", "s1"), ("s1", "h", "s2")],
+    )
+    k = 12
+    closed = frozenset(
+        ("a",) + middle + ("h",)
+        for j in range(k)
+        for middle in itertools.product("ij", repeat=j)
+    )
+    entries = {word[1:] for word in closed}
+    space = _StateSets(lts, frozenset({"s1"}))
+    probes = [*closed, ("a",) + ("i",) * k + ("h",), ("a", "h", "h"), ("a", "i")]
+    reference = (closed, (tuple(sorted(entries)),), True)
+    _assert_same_kills_and_lists(
+        _evaluate_core(space, ("a",), k, False), reference, probes
+    )
+    comp, _ = cause_candidate(
+        EffectContext(lts, parse_formula("<h>tt")), Core(("s0", "s1"), ("a",)), k
+    )
+    assert computation_traces(comp) == closed
 
 
 def test_kernel_truncates_when_the_next_bound_adds_a_kill_word():
