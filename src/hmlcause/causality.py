@@ -316,11 +316,10 @@ class KillSet(Set):
     """The kill words of one core, held as the productive DAG that judged
     it and spelled only when they are read.
 
-    `len` is the root's path count and `in` walks the word down the DAG, so
-    neither spells a word; as with a frozenset, a probe that is not a tuple
-    is no member and an unhashable one raises TypeError.  Iterating or hashing spells every word once,
-    keeps them as a frozenset (which is what equality and hashing see),
-    fills the core's extension lists and lets the DAG go.
+    `len` is the root's path count, so it spells no word.  Membership,
+    iteration and hashing spell every word once, keep them as a frozenset
+    (which is what `in`, equality and hashing see), fill the core's
+    extension lists and let the DAG go.
     """
 
     __slots__ = ("_labels", "_nodes", "_root", "_len", "_words", "_dlists")
@@ -350,20 +349,7 @@ class KillSet(Set):
         return iter(self._spelled())
 
     def __contains__(self, word) -> bool:
-        hash(word)  # an unhashable probe raises TypeError, as with a frozenset
-        if self._words is not None:
-            return word in self._words
-        if not isinstance(word, tuple):
-            return False
-        nodes, node = self._nodes, self._root
-        for letter in word:
-            for label, child in nodes[node][2]:
-                if label == letter:
-                    node = child
-                    break
-            else:
-                return False
-        return nodes[node][0]
+        return word in self._spelled()
 
     def __hash__(self) -> int:
         return hash(self._spelled())
@@ -476,7 +462,6 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
         return CauseSet(reports, ctx, k, exactness, immediate=True)
 
     space = _StateSets(lts, sat)
-    names = {s: format_state(s) for s in lts.states}
     successful_words: set[Word] = set()
     evaluated: dict[Word, Optional[tuple]] = {}
     accepted: list[CauseReport] = []
@@ -487,7 +472,6 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
         for states, labels in level:
             for label, dst in lts.outgoing(states[-1]):
                 grown.append((states + (dst,), labels + (label,)))
-        grown.sort(key=lambda p: (p[1], tuple(names[s] for s in p[0])))
         survivors: list[tuple[tuple, Word]] = []
         for states, labels in grown:
             if any(_is_proper_subsequence(w, labels) for w in successful_words):

@@ -189,6 +189,12 @@ def _render_theorem_report(report: TheoremReport, exact: bool, fmt: str) -> None
         print(f"  reason: {report.counterexample.get('reason', 'mismatch')}")
 
 
+_LAW_CHECKS = {
+    "disjunction": verify_disjunction_theorem,
+    "conjunction": verify_conjunction_theorem,
+}
+
+
 def _run_instance(theorem: str, left: EffectContext, right: EffectContext, k):
     """Returns (all_ok, reports, checks): theorem reports for disjunction /
     conjunction, cross-check results for lemmas."""
@@ -196,11 +202,8 @@ def _run_instance(theorem: str, left: EffectContext, right: EffectContext, k):
         lifting = cross_check_disjunction_lifting(left, right, k)
         single = cross_check_single_component(left, right, k)
         return lifting.ok and single.ok, (), (lifting, single)
-    if theorem == "disjunction":
-        reports = (verify_disjunction_theorem(left, right, k),)
-    else:
-        reports = (verify_conjunction_theorem(left, right, k),)
-    return all(r.verdict == "holds" for r in reports), reports, ()
+    report = _LAW_CHECKS[theorem](left, right, k)
+    return report.verdict == "holds", (report,), ()
 
 
 def _verify_random(args) -> int:
@@ -223,11 +226,7 @@ def _verify_random(args) -> int:
         for report in reports:
             if report.verdict == "holds":
                 continue
-            verify = (
-                verify_disjunction_theorem
-                if report.theorem == "disjunction"
-                else verify_conjunction_theorem
-            )
+            verify = _LAW_CHECKS[report.theorem]
             small_left, small_right = shrink_counterexample(
                 inst.left, inst.right, inst.bound, verify
             )
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right_formula", nargs="?", default=None)
     p.add_argument(
         "--theorem",
-        choices=("disjunction", "conjunction", "lemmas"),
+        choices=(*_LAW_CHECKS, "lemmas"),
         required=True,
     )
     p.add_argument("--bound", type=int, default=None)

@@ -140,17 +140,23 @@ def reach(lts: Lts, source: State, word: Word) -> frozenset:
     return current
 
 
-def reachable_states(lts: Lts) -> frozenset:
-    """All states reachable from the initial state by any word."""
-    seen = {lts.initial}
+def _walk(lts: Lts) -> dict:
+    """Every reachable state mapped to its breadth-first discovery index over
+    sorted `outgoing`; the initial state's is 0."""
+    order: dict[State, int] = {lts.initial: 0}
     queue = deque([lts.initial])
     while queue:
         s = queue.popleft()
         for _, dst in lts.outgoing(s):
-            if dst not in seen:
-                seen.add(dst)
+            if dst not in order:
+                order[dst] = len(order)
                 queue.append(dst)
-    return frozenset(seen)
+    return order
+
+
+def reachable_states(lts: Lts) -> frozenset:
+    """All states reachable from the initial state by any word."""
+    return frozenset(_walk(lts))
 
 
 def subwords(word: Word) -> frozenset:
@@ -360,14 +366,7 @@ def emit_aut(lts: Lts) -> str:
     initial state at index 0; alphabet labels unused by any reachable
     transition are kept via an `#alphabet:` directive.
     """
-    order: dict[State, int] = {lts.initial: 0}
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
-        for _, dst in lts.outgoing(s):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
+    order = _walk(lts)
     transitions = sorted(
         (
             (order[src], label, order[dst])
@@ -414,7 +413,11 @@ def emit_dot(lts: Lts, highlight: Iterable[Transition] = ()) -> str:
 # ---------------------------------------------------------------------------
 # Isomorphism
 
-def _signatures(lts: Lts, rounds: int = 2) -> dict:
+def _signatures(lts: Lts) -> dict:
+    """Per state, a hash of (is initial, outgoing labels, incoming labels)
+    refined twice by the neighbours' signatures along each edge.  Every
+    isomorphism preserves it, and equal values hash alike, so grouping
+    states by it never separates a state from its image."""
     incoming: dict[State, list] = {s: [] for s in lts.states}
     for src, label, dst in lts.transitions:
         incoming[dst].append((label, src))
@@ -426,7 +429,7 @@ def _signatures(lts: Lts, rounds: int = 2) -> dict:
         )
         for s in lts.states
     }
-    for _ in range(rounds):
+    for _ in range(2):
         sig = {
             s: (
                 sig[s],
@@ -441,45 +444,60 @@ def _signatures(lts: Lts, rounds: int = 2) -> dict:
 def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
     """Search for a label-preserving bijection between the reachable parts.
 
-    Returns a state mapping from left to right, or None.  Backtracking is
-    pruned by iterated degree/label signatures; initial must map to initial.
+    Returns a state mapping from left to right, or None.  The initial state
+    maps to the initial state, any other state to a state of its signature,
+    and states are mapped rarest signature first.  A state with an incoming
+    edge from a state already mapped takes as candidates only the
+    successors of that source's image under the edge's label, since the
+    search accepts no others; any other state tries its whole signature
+    class.
     """
     left = restrict_to_reachable(left)
     right = restrict_to_reachable(right)
-    if len(left.states) != len(right.states):
-        return None
     if len(left.transitions) != len(right.transitions):
         return None
     lsig = _signatures(left)
     rsig = _signatures(right)
+    # unequal state counts give lists of unequal length
     if sorted(lsig.values()) != sorted(rsig.values()):
-        return None
-    if lsig[left.initial] != rsig[right.initial]:
         return None
 
     by_sig: dict[int, list] = {}
-    for s in right.states:
+    for s in sorted(right.states, key=format_state):
         by_sig.setdefault(rsig[s], []).append(s)
-    for group in by_sig.values():
-        group.sort(key=format_state)
-
+    order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), format_state(s)))
     lin: dict[State, list] = {s: [] for s in left.states}
     for src, label, dst in left.transitions:
         lin[dst].append((label, src))
-    rtrans = set(right.transitions)
-
-    order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), format_state(s)))
+    rtrans = right.transitions
     mapping: dict = {}
     used: set = set()
 
+    # every left transition is checked here once both its ends are mapped;
+    # with the mapping injective and the transition counts equal, that
+    # makes it a bijection on transitions too
     def consistent(s: State, t: State) -> bool:
         for label, dst in left.outgoing(s):
+            if dst == s and (t, label, t) not in rtrans:
+                return False
             if dst in mapping and (t, label, mapping[dst]) not in rtrans:
                 return False
         for label, src in lin[s]:
             if src in mapping and (mapping[src], label, t) not in rtrans:
                 return False
         return True
+
+    def candidates(s: State) -> list:
+        if s == left.initial:
+            return [right.initial]
+        for label, src in lin[s]:
+            if src in mapping:
+                return [
+                    dst
+                    for name, dst in right.outgoing(mapping[src])
+                    if name == label and rsig[dst] == lsig[s]
+                ]
+        return by_sig[lsig[s]]
 
     # depth-first search with one candidate iterator per assigned position;
     # `used` is back at its entry value whenever a position's iterator resumes
@@ -488,24 +506,17 @@ def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
     while i < len(order):
         s = order[i]
         if len(stack) == i:
-            candidates = [right.initial] if s == left.initial else by_sig[lsig[s]]
-            stack.append(iter(candidates))
+            stack.append(iter(candidates(s)))
         for t in stack[i]:
-            if t in used:
-                continue
-            if not consistent(s, t):
-                continue
-            mapping[s] = t
-            used.add(t)
-            i += 1
-            break
+            if t not in used and consistent(s, t):
+                mapping[s] = t
+                used.add(t)
+                i += 1
+                break
         else:
             stack.pop()
             if not stack:
                 return None
             i -= 1
             used.discard(mapping.pop(order[i]))
-    for src, label, dst in left.transitions:
-        if (mapping[src], label, mapping[dst]) not in rtrans:
-            return None
-    return dict(mapping)
+    return mapping

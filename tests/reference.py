@@ -11,6 +11,7 @@
 - `sub_cores`, every core below a given one, as the minimality reference.
 - `traces`, the (label, extension list) pairs form of `computation_traces`.
 - `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
+- `brute_isomorphic`, a search over every bijection of the reachable parts.
 
 None of this serves the engine, the oracle or the CLI.
 """
@@ -18,6 +19,7 @@ None of this serves the engine, the oracle or the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional, Sequence
 
 from hmlcause import (
@@ -318,3 +320,30 @@ def brute_longest_acyclic_path(lts: Lts) -> Optional[int]:
             path + (dst,) for src, dst in edges if src == path[-1] and dst not in path
         )
     return longest
+
+
+def brute_isomorphic(left: Lts, right: Lts) -> bool:
+    """Whether some bijection between the reachable parts sends the initial
+    state to the initial state and the transitions of one onto those of the
+    other, trying every bijection."""
+
+    def reachable_part(lts: Lts) -> tuple[list, frozenset]:
+        seen = {lts.initial}
+        while True:
+            grown = seen | {dst for src, _, dst in lts.transitions if src in seen}
+            if grown == seen:
+                break
+            seen = grown
+        return list(seen), frozenset(t for t in lts.transitions if t[0] in seen)
+
+    left_states, left_transitions = reachable_part(left)
+    right_states, right_transitions = reachable_part(right)
+    if len(left_states) != len(right_states):
+        return False
+    for image in permutations(right_states):
+        m = dict(zip(left_states, image))
+        if m[left.initial] == right.initial and right_transitions == {
+            (m[src], label, m[dst]) for src, label, dst in left_transitions
+        }:
+            return True
+    return False

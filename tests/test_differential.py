@@ -31,6 +31,7 @@ from hmlcause import (
     oracle_check_details,
     parse_formula,
     reach,
+    restrict_to_reachable,
     step,
 )
 from hmlcause.causality import (
@@ -43,6 +44,7 @@ from hmlcause.causality import (
 from hmlcause.computation import computation_traces
 from hmlcause.testkit import fixtures
 from reference import (
+    brute_isomorphic,
     brute_longest_acyclic_path,
     satisfies,
     shaped_row_words,
@@ -166,6 +168,58 @@ def test_longest_acyclic_path_matches_exhaustive_search(system):
     assert longest_acyclic_path(lts) == brute_longest_acyclic_path(lts)
 
 
+@st.composite
+def _isomorphism_pairs(draw):
+    """A system on at most 6 states and 2 labels, each state reached by a
+    tree edge, with self-loops and nondeterminism among the other edges, and
+    a renamed copy of it, in about half the draws with one transition
+    retargeted, relabeled, dropped or added."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from("ab")
+    triple = st.tuples(state, label, state)
+    transitions = {
+        (draw(st.integers(0, i - 1)), draw(label), i) for i in range(1, n)
+    } | draw(st.sets(triple, max_size=8))
+    left = make_lts(0, transitions, extra_labels="ab", extra_states=range(n))
+    image = draw(st.permutations(range(n)))
+    copy = {(image[s], a, image[t]) for s, a, t in transitions}
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(("retarget", "relabel", "drop", "add")))
+        if kind == "add" or not copy:
+            copy.add(draw(triple))
+        else:
+            s, a, t = draw(st.sampled_from(sorted(copy)))
+            copy.discard((s, a, t))
+            if kind == "retarget":
+                copy.add((s, a, draw(state)))
+            elif kind == "relabel":
+                copy.add((s, "b" if a == "a" else "a", t))
+    right = make_lts(
+        f"r{image[0]}",
+        [(f"r{s}", a, f"r{t}") for s, a, t in copy],
+        extra_labels="ab",
+        extra_states=[f"r{s}" for s in range(n)],
+    )
+    return left, right
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_isomorphism_pairs())
+def test_isomorphic_matches_a_search_over_every_bijection(pair):
+    left, right = pair
+    mapping = isomorphic(left, right)
+    assert (mapping is not None) == brute_isomorphic(left, right)
+    if mapping is not None:
+        left_part, right_part = restrict_to_reachable(left), restrict_to_reachable(right)
+        assert mapping.keys() == left_part.states
+        assert set(mapping.values()) == right_part.states
+        assert mapping[left.initial] == right.initial
+        assert right_part.transitions == {
+            (mapping[s], a, mapping[t]) for s, a, t in left_part.transitions
+        }
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     system=_systems(),
@@ -247,7 +301,7 @@ def _probes(universe_next, labels):
 
 
 def _assert_same_kills_and_lists(evaluated, reference, probes):
-    # length and membership first, while the kill set is still unspelled
+    # length first, while the kill set is still unspelled
     kill, dlists, _ = evaluated
     reference_kill, reference_dlists, _ = reference
     assert len(kill) == len(reference_kill)

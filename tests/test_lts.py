@@ -224,6 +224,85 @@ def test_isomorphic_mismatched_alphabets():
     assert isomorphic(t1, relabeled) is None
 
 
+def test_isomorphic_checks_self_loops():
+    # each x-successor loops on itself on one side and steps to the other on
+    # the other side; the self-loops are the only edges that tell them apart
+    loops = make_lts(0, [(0, "x", 1), (0, "x", 2), (1, "y", 1), (2, "y", 2)])
+    swap = make_lts(0, [(0, "x", 1), (0, "x", 2), (1, "y", 2), (2, "y", 1)])
+    assert isomorphic(loops, swap) is None
+    assert isomorphic(swap, loops) is None
+
+
+# Each case runs with a budget of outgoing-edge lookups that a search trying
+# the unmarked branches in every arrangement, about (n - 1)! of them for n
+# branches, exceeds at once.
+
+
+@pytest.fixture
+def outgoing_budget(monkeypatch):
+    lookup = Lts.outgoing
+    calls = 0
+
+    def counted(self, s):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("outgoing lookup budget exceeded")
+        return lookup(self, s)
+
+    monkeypatch.setattr(Lts, "outgoing", counted)
+
+
+def _broom(depth, loops, prefix=""):
+    """Twelve branches from one root, `root -a-> i.1 -b-> ... -b-> i.depth`
+    for i = 00..11; `loops` maps (branch, level) to a self-loop's label."""
+    transitions = []
+    for i in range(12):
+        names = [prefix + "root"] + [f"{prefix}{i:02d}.{d}" for d in range(1, depth + 1)]
+        transitions += [
+            (src, "a" if d == 0 else "b", dst)
+            for d, (src, dst) in enumerate(zip(names, names[1:]))
+        ]
+        transitions += [
+            (names[d], label, names[d]) for (b, d), label in loops.items() if b == i
+        ]
+    return make_lts(prefix + "root", transitions)
+
+
+@pytest.mark.parametrize("depth", [2, 5])
+def test_isomorphic_pairs_the_marked_branches_first(outgoing_budget, depth):
+    # the loop is two levels below the branch heads, or further than the
+    # signatures see; the right side's marked branch is the last one tried
+    left = _broom(depth, {(0, depth): "c"})
+    right = _broom(depth, {(11, depth): "c"}, prefix="r")
+    mapping = isomorphic(left, right)
+    assert mapping is not None
+    for d in range(1, depth + 1):
+        assert mapping[f"00.{d}"] == f"r11.{d}"
+    assert isomorphic(left, _broom(depth, {(11, depth): "d"}, prefix="r")) is None
+
+
+def test_isomorphic_tries_only_successors_of_the_same_signature(outgoing_budget):
+    # six a-successors step to c-loops and six to d-loops; on the right the
+    # d-side sorts first among the root's successors, where a search that
+    # let the c-side try them would meet the loops only after every
+    # arrangement of both sides
+    def two_sided(prefix, c_side, d_side):
+        transitions = []
+        for i in range(6):
+            for side, loop in ((c_side, "c"), (d_side, "d")):
+                head, tail = f"{prefix}{side}{i}", f"{prefix}t{side}{i}"
+                transitions += [(prefix + "root", "a", head), (head, "b", tail)]
+                transitions.append((tail, loop, tail))
+        return make_lts(prefix + "root", transitions)
+
+    left = two_sided("", "p", "q")
+    right = two_sided("r", "z", "k")
+    mapping = isomorphic(left, right)
+    assert mapping is not None
+    assert all(mapping[f"p{i}"].startswith("rz") for i in range(6))
+
+
 def test_isomorphic_maps_long_chains_without_recursion():
     # one search position per state: deeper than a recursive search could go
     n = 3000
@@ -246,10 +325,12 @@ def test_acyclicity_and_longest_path():
 
 def test_longest_acyclic_path_leaves_no_garbage():
     systems = [FIX[name][0] for name in ("t1", "t2", "t4", "t5", "t6")]
+    # collect what earlier code left before saving anything, so the test
+    # sees only the cycles made by the calls below, whatever ran before it
+    gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        gc.collect()
         gc.garbage.clear()
         for lts in systems:
             longest_acyclic_path(lts)
