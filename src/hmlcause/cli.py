@@ -13,50 +13,17 @@ import json
 import os
 import sys
 
-from .causality import (
-    causal_projection,
-    causes,
-    default_bound,
-    exploration_is_exact,
-)
-from .composition import (
-    TheoremReport,
-    _precondition_report,
-    check_preconditions,
-    cross_check_disjunction_lifting,
-    cross_check_single_component,
-    shrink_counterexample,
-    verify_conjunction_theorem,
-    verify_disjunction_theorem,
-    write_counterexample_bundle,
-)
-from .hml import (
-    EffectContext,
-    FormulaParseError,
-    format_formula,
-    parse_formula,
-    satisfies,
-)
-from .lts import (
-    AutParseError,
-    Lts,
-    choice,
-    emit_aut,
-    emit_dot,
-    format_state,
-    interleave,
-    is_acyclic,
-    parse_aut,
-)
-from .testkit import corpus
 
+def _load_lts(path: str):
+    from .lts import parse_aut
 
-def _load_lts(path: str) -> Lts:
     with open(path, encoding="utf-8") as fh:
         return parse_aut(fh.read())
 
 
 def _load_formula(arg: str):
+    from .hml import parse_formula
+
     if os.path.isfile(arg):
         with open(arg, encoding="utf-8") as fh:
             arg = fh.read()
@@ -75,7 +42,10 @@ def _display_order(words):
     return sorted(words, key=lambda w: (len(w), w))
 
 
-def _effective_bound(requested, lts: Lts) -> int:
+def _effective_bound(requested, lts) -> int:
+    from .causality import default_bound
+    from .lts import is_acyclic
+
     if requested is not None:
         return requested
     k = default_bound(lts)
@@ -89,6 +59,9 @@ def _effective_bound(requested, lts: Lts) -> int:
 
 
 def cmd_check(args) -> int:
+    from .hml import format_formula, satisfies
+    from .lts import format_state
+
     lts = _load_lts(args.lts)
     formula = _load_formula(args.formula)
     verdict = satisfies(lts, lts.initial, formula)
@@ -109,6 +82,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_causes(args) -> int:
+    from .causality import causes
+    from .hml import EffectContext, format_formula
+
     lts = _load_lts(args.lts)
     ctx = EffectContext(lts, _load_formula(args.formula))
     k = _effective_bound(args.bound, lts)
@@ -139,6 +115,10 @@ def cmd_causes(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .causality import causal_projection
+    from .hml import EffectContext
+    from .lts import emit_aut, emit_dot
+
     lts = _load_lts(args.lts)
     ctx = EffectContext(lts, _load_formula(args.formula))
     k = _effective_bound(args.bound, lts)
@@ -151,6 +131,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .lts import choice, emit_aut, emit_dot, interleave
+
     left = _load_lts(args.left)
     right = _load_lts(args.right)
     combined = (
@@ -166,11 +148,13 @@ def cmd_compose(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from .lts import emit_dot
+
     print(emit_dot(_load_lts(args.lts)))
     return 0
 
 
-def _render_theorem_report(report: TheoremReport, exact: bool, fmt: str) -> None:
+def _render_theorem_report(report, exact: bool, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report.to_json(), indent=2))
         return
@@ -189,24 +173,35 @@ def _render_theorem_report(report: TheoremReport, exact: bool, fmt: str) -> None
         print(f"  reason: {report.counterexample.get('reason', 'mismatch')}")
 
 
-_LAW_CHECKS = {
-    "disjunction": verify_disjunction_theorem,
-    "conjunction": verify_conjunction_theorem,
-}
+def _law_check(theorem: str):
+    from .composition import verify_conjunction_theorem, verify_disjunction_theorem
+
+    return {
+        "disjunction": verify_disjunction_theorem,
+        "conjunction": verify_conjunction_theorem,
+    }[theorem]
 
 
-def _run_instance(theorem: str, left: EffectContext, right: EffectContext, k):
+def _run_instance(theorem: str, left, right, k):
     """Returns (all_ok, reports, checks): theorem reports for disjunction /
     conjunction, cross-check results for lemmas."""
+    from .composition import (
+        cross_check_disjunction_lifting,
+        cross_check_single_component,
+    )
+
     if theorem == "lemmas":
         lifting = cross_check_disjunction_lifting(left, right, k)
         single = cross_check_single_component(left, right, k)
         return lifting.ok and single.ok, (), (lifting, single)
-    report = _LAW_CHECKS[theorem](left, right, k)
+    report = _law_check(theorem)(left, right, k)
     return report.verdict == "holds", (report,), ()
 
 
 def _verify_random(args) -> int:
+    from .composition import shrink_counterexample, write_counterexample_bundle
+    from .testkit import corpus
+
     if args.seed is None or args.count is None:
         raise ValueError("--random requires --seed and --count")
     failures = 0
@@ -226,7 +221,7 @@ def _verify_random(args) -> int:
         for report in reports:
             if report.verdict == "holds":
                 continue
-            verify = _LAW_CHECKS[report.theorem]
+            verify = _law_check(report.theorem)
             small_left, small_right = shrink_counterexample(
                 inst.left, inst.right, inst.bound, verify
             )
@@ -243,6 +238,11 @@ def _verify_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .causality import default_bound, exploration_is_exact
+    from .composition import _precondition_report, check_preconditions
+    from .hml import EffectContext
+    from .lts import interleave
+
     if args.random:
         return _verify_random(args)
     positional = (args.left, args.right, args.left_formula, args.right_formula)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right_formula", nargs="?", default=None)
     p.add_argument(
         "--theorem",
-        choices=(*_LAW_CHECKS, "lemmas"),
+        choices=("disjunction", "conjunction", "lemmas"),
         required=True,
     )
     p.add_argument("--bound", type=int, default=None)
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AutParseError, FormulaParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

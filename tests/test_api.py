@@ -4,7 +4,10 @@ here shows up as a diff of this list."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
+
+import pytest
 
 import hmlcause
 from hmlcause import testkit
@@ -84,14 +87,35 @@ PUBLIC = [
 ]
 
 
-def test_public_names_are_the_listed_ones():
+def public_names(names):
     # submodules become attributes once imported, so they are not counted
-    names = sorted(
+    return sorted(
         name
-        for name, value in vars(hmlcause).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in names
+        if not name.startswith("_") and not inspect.ismodule(getattr(hmlcause, name))
     )
-    assert names == PUBLIC
+
+
+def test_public_names_are_the_listed_ones():
+    assert sorted(hmlcause.__all__) == PUBLIC
+    assert public_names(dir(hmlcause)) == PUBLIC
+
+
+def test_public_names_resolve_to_their_home_definitions():
+    for name in PUBLIC:
+        value = getattr(hmlcause, name)
+        home = importlib.import_module(f"hmlcause.{hmlcause._HOME[name]}")
+        assert value is getattr(home, name), name
+        # a class or function is exported from the module that defines it
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert public_names(vars(hmlcause)) == PUBLIC
+
+
+def test_unknown_names_are_errors():
+    with pytest.raises(AttributeError):
+        hmlcause.no_such_name
+    with pytest.raises(ImportError):
+        from hmlcause import no_such_name  # noqa: F401
 
 
 def test_corpus_takes_only_a_count_and_a_seed():

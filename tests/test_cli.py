@@ -236,6 +236,24 @@ def test_dot_command(capsys):
     assert "doublecircle" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dot", "{bad}"],
+        ["compose", "interleave", T1, "{bad}"],
+        ["causes", "{bad}", "<h>tt"],
+    ],
+    ids=["dot", "compose", "causes"],
+)
+def test_malformed_aut_is_bad_input(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.aut"
+    bad.write_text('des (0,2,2)\n(0,"a",1)\n', encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(bad=bad) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -389,16 +407,76 @@ def test_cli_is_deterministic(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def child_env():
     # the child finds the package the way this process does, also when only
     # pytest's own pythonpath setting put src/ on sys.path
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "hmlcause", "check", T1, "<a><h>tt"],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "satisfies" in result.stdout
+
+
+LOADED_BY = """
+import contextlib, io, json, sys
+from hmlcause.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "hmlcause"]]))
+"""
+
+
+def loaded_modules(argv):
+    """The package's modules that one `main` call loads in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout)
+    assert code in (0, 1), result.stderr
+    return set(modules)
+
+
+LTS_LAYER = {"hmlcause", "hmlcause.cli", "hmlcause.lts"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["dot", T1], LTS_LAYER),
+        (["compose", "interleave", T1, F3R], LTS_LAYER),
+        (["check", T1, "<a><h>tt"], LTS_LAYER | {"hmlcause.hml"}),
+    ],
+    ids=["dot", "compose", "check"],
+)
+def test_command_loads_only_its_layers(argv, modules):
+    assert loaded_modules(argv) == modules
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["causes", T4, "<h>tt"], {"hmlcause.composition", "hmlcause.testkit"}),
+        (["project", T4, "<h>tt"], {"hmlcause.composition", "hmlcause.testkit"}),
+        (
+            ["verify", F3L, F3R, "<h>tt", "<h'>tt", "--theorem", "disjunction"],
+            {"hmlcause.testkit"},
+        ),
+    ],
+    ids=["causes", "project", "verify"],
+)
+def test_command_skips_layers_it_does_not_run(argv, unused):
+    assert not loaded_modules(argv) & unused

@@ -128,14 +128,18 @@ def _word_level_evaluate(universe, universe_next, sat, labels, exact):
 def _systems(draw):
     """A system on at most 5 states and 3 labels, where cycles, self-loops,
     nondeterminism and unreachable states all occur, with an effect state
-    set."""
+    set.  Each state up to a drawn one gets a tree edge from a lower state;
+    the states after it have only the random edges."""
     n = draw(st.integers(1, 5))
+    reached = n - draw(st.integers(0, n - 1))
     labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    label = st.sampled_from(labels)
     states = [f"s{i}" for i in range(n)]
     state = st.sampled_from(states)
-    transitions = draw(
-        st.lists(st.tuples(state, st.sampled_from(labels), state), max_size=9)
-    )
+    transitions = [
+        (f"s{draw(st.integers(0, i - 1))}", draw(label), f"s{i}")
+        for i in range(1, reached)
+    ] + draw(st.lists(st.tuples(state, label, state), max_size=9))
     lts = make_lts("s0", transitions, extra_labels=labels, extra_states=states)
     return lts, frozenset(draw(st.sets(st.sampled_from(states))))
 
