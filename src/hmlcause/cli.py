@@ -204,6 +204,8 @@ def _verify_random(args) -> int:
 
     if args.seed is None or args.count is None:
         raise ValueError("--random requires --seed and --count")
+    if args.left is not None or args.bound is not None or args.format == "json":
+        raise ValueError("--random takes no LEFT RIGHT, --bound or --format json")
     failures = 0
     total = 0
     for inst in corpus(args.count, args.seed):
@@ -245,6 +247,8 @@ def cmd_verify(args) -> int:
 
     if args.random:
         return _verify_random(args)
+    if args.seed is not None or args.count is not None:
+        raise ValueError("--seed and --count need --random")
     positional = (args.left, args.right, args.left_formula, args.right_formula)
     if any(value is None for value in positional):
         raise ValueError(

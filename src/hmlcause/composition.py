@@ -94,24 +94,12 @@ class TheoremReport:
         }
 
 
-def _is_isomorphism(a: Lts, b: Lts, mapping: dict) -> bool:
-    """`mapping` is defined on every state of `a`."""
-    if a.alphabet != b.alphabet:
-        return False
-    if len(set(mapping.values())) != len(mapping) or set(
-        mapping.values()
-    ) != set(b.states):
-        return False
-    if mapping[a.initial] != b.initial:
-        return False
-    mapped = {(mapping[s], label, mapping[t]) for s, label, t in a.transitions}
-    return mapped == set(b.transitions)
-
-
-def _renaming_witness(lhs: Lts, left_init, right_init) -> Optional[dict]:
-    """The expected disjunction renaming: the joint initial state becomes the
-    fresh choice initial, pairs that kept the right side at rest go to the
-    left branch, and symmetrically."""
+def _renaming(lhs: Lts, rhs: Lts, left_init, right_init) -> Optional[dict]:
+    """The expected disjunction renaming, when it is an isomorphism: the
+    joint initial state becomes the fresh choice initial, pairs that kept the
+    right side at rest go to the left branch, and symmetrically.  Both sides
+    carry the joint alphabet, and the joint initial state is `lhs.initial`,
+    so alphabets and initial states agree by construction."""
     mapping = {}
     for s in lhs.states:
         if not (isinstance(s, tuple) and len(s) == 2):
@@ -125,7 +113,11 @@ def _renaming_witness(lhs: Lts, left_init, right_init) -> Optional[dict]:
             mapping[s] = "R:" + format_state(r)
         else:
             return None
-    return mapping
+    image = set(mapping.values())
+    if len(image) != len(mapping) or image != rhs.states:
+        return None
+    mapped = {(mapping[s], label, mapping[t]) for s, label, t in lhs.transitions}
+    return mapping if mapped == rhs.transitions else None
 
 
 def _counterexample_payload(
@@ -185,8 +177,8 @@ def verify_disjunction_theorem(
         EffectContext(composite, Or(left.formula, right.formula)), k
     )
     rhs = choice(causal_projection(left, k), causal_projection(right, k))
-    mapping = _renaming_witness(lhs, left.lts.initial, right.lts.initial)
-    if mapping is None or not _is_isomorphism(lhs, rhs, mapping):
+    mapping = _renaming(lhs, rhs, left.lts.initial, right.lts.initial)
+    if mapping is None:
         mapping = isomorphic(lhs, rhs)
     if mapping is not None:
         return TheoremReport(
@@ -267,8 +259,6 @@ def cross_check_single_component(
     ctx = EffectContext(composite, Or(left.formula, right.formula))
     for report in causes(ctx, k).causes:
         labels = report.computation.labels
-        if not labels:
-            continue
         sides = {
             "left" if label in left.lts.alphabet else "right"
             for label in labels
@@ -278,17 +268,16 @@ def cross_check_single_component(
                 False, f"core {labels} moves both components"
             )
         # corollary: the first label identifies the moving component, and
-        # projecting the core onto that alphabet lands on one of the
-        # component's own cause cores
+        # the core, which is its own projection onto that alphabet, is one
+        # of the component's own cause cores
         name, side_ctx = _moving_side(left, right, labels)
-        projected = project_word(labels, side_ctx.lts.alphabet)
         side_cores = {
             r.computation.labels for r in causes(side_ctx, k).causes
         }
-        if projected not in side_cores:
+        if labels not in side_cores:
             return CrossCheckReport(
                 False,
-                f"core {labels} projects to {projected}, which is not a "
+                f"core {labels} projects to {labels}, which is not a "
                 f"cause core of the {name} component",
             )
     return CrossCheckReport(True, "all cores single-component")
@@ -329,8 +318,6 @@ def cross_check_disjunction_lifting(
 
     for report in composite_causes:
         labels = report.computation.labels
-        if not labels:
-            continue
         _, moving = _moving_side(left, right, labels)
         for trace in report.kill_traces:
             projected = project_word(trace, moving.lts.alphabet)

@@ -232,42 +232,28 @@ def _prec(f: Formula) -> int:
             return 3
 
 
+def _operand(f: Formula, prec: int) -> str:
+    """f rendered for a slot that needs precedence prec, parenthesised when
+    it binds more loosely."""
+    text = format_formula(f)
+    return f"({text})" if _prec(f) < prec else text
+
+
 def format_formula(f: Formula) -> str:
     """Render a formula so that parsing the text yields the same tree."""
     match f:
         case Top():
             return "tt"
         case Diamond(label, body):
-            inner = format_formula(body)
-            if _prec(body) < 3:
-                inner = f"({inner})"
-            return f"<{label}>{inner}"
+            return f"<{label}>{_operand(body, 3)}"
         case Box(label, body):
-            inner = format_formula(body)
-            if _prec(body) < 3:
-                inner = f"({inner})"
-            return f"[{label}]{inner}"
+            return f"[{label}]{_operand(body, 3)}"
         case Not(body):
-            inner = format_formula(body)
-            if _prec(body) < 3:
-                inner = f"({inner})"
-            return f"!{inner}"
+            return f"!{_operand(body, 3)}"
         case And(left, right):
-            lt = format_formula(left)
-            rt = format_formula(right)
-            if _prec(left) < 2:
-                lt = f"({lt})"
-            if _prec(right) <= 2:
-                rt = f"({rt})"
-            return f"{lt} & {rt}"
+            return f"{_operand(left, 2)} & {_operand(right, 3)}"
         case Or(left, right):
-            lt = format_formula(left)
-            rt = format_formula(right)
-            if _prec(left) < 1:
-                lt = f"({lt})"
-            if _prec(right) <= 1:
-                rt = f"({rt})"
-            return f"{lt} | {rt}"
+            return f"{_operand(left, 1)} | {_operand(right, 2)}"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -47,8 +47,8 @@ class Lts:
 
     The alphabet may strictly contain the labels used by transitions; the
     converse is an error.  Construction validates every field; the successor
-    indexes are built on the first traversal, so a system that is only
-    compared or hashed never pays for them.
+    index is built on the first traversal, so a system that is only compared
+    or hashed never pays for it.
     """
 
     states: frozenset
@@ -68,18 +68,10 @@ class Lts:
             if label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} not in alphabet")
         # an attribute added after construction costs a dict per instance
-        object.__setattr__(self, "_succ", None)
         object.__setattr__(self, "_out", None)
 
     def successors(self, s: State, label: str) -> frozenset:
-        succ = self._succ
-        if succ is None:
-            grouped: dict[tuple[State, str], set] = {}
-            for src, name, dst in self.transitions:
-                grouped.setdefault((src, name), set()).add(dst)
-            succ = {key: frozenset(v) for key, v in grouped.items()}
-            object.__setattr__(self, "_succ", succ)
-        return succ.get((s, label), frozenset())
+        return frozenset(dst for name, dst in self.outgoing(s) if name == label)
 
     def outgoing(self, s: State) -> tuple:
         """Sorted (label, target) pairs leaving s."""
@@ -118,10 +110,9 @@ def make_lts(
 
 def step(lts: Lts, sources: frozenset, label: str) -> frozenset:
     """One-step successor set of a state set under a single label."""
-    acc: set = set()
-    for s in sources:
-        acc |= lts.successors(s, label)
-    return frozenset(acc)
+    return frozenset(
+        dst for s in sources for name, dst in lts.outgoing(s) if name == label
+    )
 
 
 def reach(lts: Lts, source: State, word: Word) -> frozenset:
@@ -184,30 +175,27 @@ def interleave(left: Lts, right: Lts) -> Lts:
     """Parallel composition without communication, restricted to the
     reachable part.
 
-    States are (left, right) pairs; either side moves alone.  A label shared
-    by both alphabets moves either side nondeterministically.
+    Neither side ever waits for the other, so the reachable states are the
+    pairs of reachable states, and each side's steps go with every reachable
+    state of the other side.  A label shared by both alphabets moves either
+    side nondeterministically.
     """
-    initial = (left.initial, right.initial)
-    states = {initial}
-    transitions: set = set()
-    queue = deque([initial])
-    while queue:
-        l, r = queue.popleft()
-        for label, dst in left.outgoing(l):
-            nxt = (dst, r)
-            transitions.add(((l, r), label, nxt))
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
-        for label, dst in right.outgoing(r):
-            nxt = (l, dst)
-            transitions.add(((l, r), label, nxt))
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
+    lkeep = reachable_states(left)
+    rkeep = reachable_states(right)
+    transitions = {
+        ((l, r), label, (dst, r))
+        for l, label, dst in left.transitions
+        if l in lkeep
+        for r in rkeep
+    } | {
+        ((l, r), label, (l, dst))
+        for r, label, dst in right.transitions
+        if r in rkeep
+        for l in lkeep
+    }
     return Lts(
-        frozenset(states),
-        initial,
+        frozenset((l, r) for l in lkeep for r in rkeep),
+        (left.initial, right.initial),
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
@@ -383,17 +371,8 @@ def emit_aut(lts: Lts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_dot(lts: Lts, highlight: Iterable[Transition] = ()) -> str:
-    """Render to DOT with the initial state double-circled; highlighted
-    transitions are drawn dashed and must exist in the system."""
-    highlight = set(highlight)
-    missing = highlight - set(lts.transitions)
-    if missing:
-        src, label, dst = next(iter(missing))
-        raise ValueError(
-            f"highlighted transition ({format_state(src)},{label},{format_state(dst)})"
-            " is not in the system"
-        )
+def emit_dot(lts: Lts) -> str:
+    """Render to DOT with the initial state double-circled."""
     lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=circle];']
     for s in sorted(lts.states, key=format_state):
         shape = "doublecircle" if s == lts.initial else "circle"
@@ -402,9 +381,8 @@ def emit_dot(lts: Lts, highlight: Iterable[Transition] = ()) -> str:
         lts.transitions,
         key=lambda t: (format_state(t[0]), t[1], format_state(t[2])),
     ):
-        style = ', style=dashed' if (src, label, dst) in highlight else ""
         lines.append(
-            f'  "{format_state(src)}" -> "{format_state(dst)}" [label="{label}"{style}];'
+            f'  "{format_state(src)}" -> "{format_state(dst)}" [label="{label}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

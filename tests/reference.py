@@ -12,12 +12,15 @@
 - `traces`, the (label, extension list) pairs form of `computation_traces`.
 - `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
 - `brute_isomorphic`, a search over every bijection of the reachable parts.
+- `searched_interleave`, the interleaving found by a breadth-first search
+  from the joint initial state.
 
 None of this serves the engine, the oracle or the CLI.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
@@ -347,3 +350,27 @@ def brute_isomorphic(left: Lts, right: Lts) -> bool:
         }:
             return True
     return False
+
+
+def searched_interleave(left: Lts, right: Lts) -> Lts:
+    """The interleaving as the states and transitions met by a breadth-first
+    search from the joint initial state, either side moving alone."""
+    initial = (left.initial, right.initial)
+    states = {initial}
+    transitions: set = set()
+    queue = deque([initial])
+    while queue:
+        l, r = queue.popleft()
+        moves = [((dst, r), label) for label, dst in left.outgoing(l)]
+        moves += [((l, dst), label) for label, dst in right.outgoing(r)]
+        for nxt, label in moves:
+            transitions.add(((l, r), label, nxt))
+            if nxt not in states:
+                states.add(nxt)
+                queue.append(nxt)
+    return Lts(
+        frozenset(states),
+        initial,
+        left.alphabet | right.alphabet,
+        frozenset(transitions),
+    )

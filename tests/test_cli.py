@@ -386,6 +386,28 @@ def test_verify_random_requires_seed_and_count(capsys):
     assert "requires --seed and --count" in err
 
 
+RANDOM = ("verify", "--theorem", "conjunction", "--random", "--seed", "7", "--count", "3")
+PAIR = ("verify", "--theorem", "disjunction", F3L, F3R, "<h>tt", "<h'>tt")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RANDOM + ("--bound", "1"),
+        RANDOM + ("--format", "json"),
+        RANDOM + (F3L, F3R, "<h>tt", "<h'>tt"),
+        PAIR + ("--seed", "7"),
+        PAIR + ("--count", "3"),
+    ],
+    ids=["random-bound", "random-json", "random-positionals", "seed", "count"],
+)
+def test_verify_rejects_flags_its_mode_does_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_verify_partial_positionals(capsys):
     code, _out, err = run(capsys, "verify", T1, "--theorem", "disjunction")
     assert code == 2

@@ -19,7 +19,9 @@ from hmlcause import (
     causal_projection,
     causes,
     gen_effect,
+    emit_aut,
     gen_lts,
+    interleave,
     isomorphic,
     Computation,
     Not,
@@ -47,6 +49,7 @@ from reference import (
     brute_isomorphic,
     brute_longest_acyclic_path,
     satisfies,
+    searched_interleave,
     shaped_row_words,
     shaped_words,
     spell_row,
@@ -222,6 +225,23 @@ def test_isomorphic_matches_a_search_over_every_bijection(pair):
         assert right_part.transitions == {
             (mapping[s], a, mapping[t]) for s, a, t in left_part.transitions
         }
+
+
+# a label shared by both sides, and unreachable states on both sides
+@example(
+    left=(make_lts("s0", [("s0", "a", "s1"), ("s2", "b", "s0")]), frozenset()),
+    right=(make_lts("s0", [("s0", "a", "s0"), ("s1", "a", "s2")]), frozenset()),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(left=_systems(), right=_systems())
+def test_interleave_matches_a_breadth_first_search(left, right):
+    product = interleave(left[0], right[0])
+    searched = searched_interleave(left[0], right[0])
+    assert product.states == searched.states
+    assert product.initial == searched.initial
+    assert product.alphabet == searched.alphabet
+    assert product.transitions == searched.transitions
+    assert emit_aut(product) == emit_aut(searched)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -295,3 +295,27 @@ def test_parse_format_round_trip(seed):
     rng = random.Random(seed)
     f = rand_formula(rng, ["a", "b", "h'", "step2"], 4)
     assert parse_formula(format_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text, formatted",
+    [
+        ("(tt & tt) | tt", "tt & tt | tt"),
+        ("tt & (tt & tt)", "tt & (tt & tt)"),
+        ("tt | (tt | tt)", "tt | (tt | tt)"),
+        ("(tt | tt) | tt", "tt | tt | tt"),
+        ("(tt & tt) & tt", "tt & tt & tt"),
+        ("(tt | tt) & tt", "(tt | tt) & tt"),
+        ("tt & (tt | tt)", "tt & (tt | tt)"),
+        ("tt | tt & tt", "tt | tt & tt"),
+        ("<a>(tt & tt)", "<a>(tt & tt)"),
+        ("[a]!(tt | tt)", "[a]!(tt | tt)"),
+        ("!(tt & ff)", "!(tt & !tt)"),
+        ("ff", "!tt"),
+        ("<a>[b]!tt", "<a>[b]!tt"),
+        ("!<a>(tt | [b]ff)", "!<a>(tt | [b]!tt)"),
+        ("(<a>tt | tt) & !(tt & tt)", "(<a>tt | tt) & !(tt & tt)"),
+    ],
+)
+def test_format_places_parentheses_only_where_needed(text, formatted):
+    assert format_formula(parse_formula(text)) == formatted
