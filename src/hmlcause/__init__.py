@@ -7,7 +7,6 @@ import importlib
 # no submodule; a name's home is imported when the name is first read.
 _EXPORTS = {
     "causality": (
-        "Classification",
         "CauseReport",
         "CauseSet",
         "ConditionReport",
@@ -15,7 +14,6 @@ _EXPORTS = {
         "causal_projection",
         "cause_candidate",
         "causes",
-        "classify_word",
         "default_bound",
         "exploration_is_exact",
         "oracle_check_cause",
@@ -73,8 +71,6 @@ _EXPORTS = {
         "longest_acyclic_path",
         "make_lts",
         "parse_aut",
-        "project_word",
-        "reach",
         "reachable_states",
         "restrict_to_reachable",
         "step",

@@ -29,20 +29,10 @@ from .lts import (
     _state_to_json,
     format_state,
     longest_acyclic_path,
-    reach,
     reachable_states,
     step,
     subwords,
 )
-
-
-class Classification(Enum):
-    """How the states reached by one word relate to the effect."""
-
-    ALL_SATISFY = "AllSatisfy"
-    ALL_VIOLATE = "AllViolate"
-    MIXED = "Mixed"
-    NOT_EXECUTABLE = "NotExecutable"
 
 
 class Exactness(Enum):
@@ -114,22 +104,6 @@ def exploration_is_exact(lts: Lts, k: int) -> bool:
 
 def default_bound(lts: Lts) -> int:
     return len(lts.states)
-
-
-def classify_word(ctx: EffectContext, word: Word) -> Classification:
-    """Classify a word by the effect status of every state it can reach."""
-    reached = reach(ctx.lts, ctx.lts.initial, tuple(word))
-    return _classify(reached, states_satisfying(ctx.lts, ctx.formula))
-
-
-def _classify(reached: frozenset, sat: frozenset) -> Classification:
-    if not reached:
-        return Classification.NOT_EXECUTABLE
-    if reached <= sat:
-        return Classification.ALL_SATISFY
-    if not (reached & sat):
-        return Classification.ALL_VIOLATE
-    return Classification.MIXED
 
 
 def _require_valid_core(lts: Lts, core: Core) -> None:

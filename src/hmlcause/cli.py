@@ -206,6 +206,8 @@ def _verify_random(args) -> int:
         raise ValueError("--random requires --seed and --count")
     if args.left is not None or args.bound is not None or args.format == "json":
         raise ValueError("--random takes no LEFT RIGHT, --bound or --format json")
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     failures = 0
     total = 0
     for inst in corpus(args.count, args.seed):

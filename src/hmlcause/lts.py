@@ -115,22 +115,6 @@ def step(lts: Lts, sources: frozenset, label: str) -> frozenset:
     )
 
 
-def reach(lts: Lts, source: State, word: Word) -> frozenset:
-    """States reachable from source by executing exactly the given word.
-
-    The empty word reaches the source itself; each further letter extends
-    every execution by one enabled transition.
-    """
-    if source not in lts.states:
-        raise ValueError(f"unknown state {format_state(source)!r}")
-    current = frozenset({source})
-    for label in word:
-        current = step(lts, current, label)
-        if not current:
-            return frozenset()
-    return current
-
-
 def _walk(lts: Lts) -> dict:
     """Every reachable state mapped to its breadth-first discovery index over
     sorted `outgoing`; the initial state's is 0."""
@@ -163,12 +147,6 @@ def subwords(word: Word) -> frozenset:
         for positions in combinations(indices, keep):
             result.add(tuple(word[i] for i in positions))
     return frozenset(result)
-
-
-def project_word(word: Word, alphabet: Iterable[str]) -> Word:
-    """Subsequence of word consisting of the letters inside alphabet."""
-    allowed = frozenset(alphabet)
-    return tuple(label for label in word if label in allowed)
 
 
 def interleave(left: Lts, right: Lts) -> Lts:

@@ -16,6 +16,8 @@ from hmlcause import (
     Or,
     Top,
     gen_lts,
+    make_lts,
+    parse_formula,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
 )
@@ -75,3 +77,28 @@ def verify_both(left: EffectContext, right: EffectContext, k=None) -> tuple:
         verify_disjunction_theorem(left, right, k),
         verify_conjunction_theorem(left, right, k),
     )
+
+
+def cyclic_pair():
+    """A 25-state, 60-transition interleaving whose "both effects" context
+    has millions of kill words per core at bound 4."""
+    left = EffectContext(
+        make_lts(
+            "q0",
+            [("q0", "Lc", "q1"), ("q1", "Lc", "q2"), ("q2", "Lb", "q4"), ("q2", "Lc", "q3")],
+            extra_labels=["La", "Lb", "Lc"],
+        ),
+        parse_formula("<Lc>([La]!tt & <Lb>tt)"),
+    )
+    right = EffectContext(
+        make_lts(
+            "q0",
+            [
+                ("q0", "Ra", "q2"), ("q0", "Rb", "q0"), ("q0", "Rc", "q1"),
+                ("q1", "Rb", "q3"), ("q2", "Ra", "q0"), ("q2", "Ra", "q4"),
+                ("q2", "Rc", "q2"), ("q3", "Rb", "q2"),
+            ],
+        ),
+        parse_formula("<Ra>[Rc](!tt & tt)"),
+    )
+    return left, right

@@ -2,6 +2,13 @@
 
 - `satisfies`, HML satisfaction at one state by direct recursion on the
   formula, the definition that `states_satisfying` is held to.
+- The word layer: `reach`, the states one word reaches letter by letter;
+  `project_word`, a word's letters inside one alphabet; and `classify_word`
+  with its `Classification` of the states a word reaches against an effect.
+- `word_lifting_check`, the lifting cross-check as it was when it spelled
+  every kill word of every composite cause and classified its projection
+  onto the moving component, which `cross_check_disjunction_lifting` is
+  held to.
 - The shaped-word universe spelled out word by word, the oracle's trie walk
   spelled back into words, and the oracle as it was when it reached every
   traced word letter by letter with `reach` and skipped traced words by
@@ -22,14 +29,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hmlcause import (
     And,
     Box,
     Computation,
     Core,
+    CrossCheckReport,
     Diamond,
     EffectContext,
     Formula,
@@ -37,12 +46,14 @@ from hmlcause import (
     Not,
     Or,
     Top,
+    causes,
     format_state,
-    reach,
+    states_satisfying,
     step,
     subwords,
 )
 from hmlcause.causality import _oracle_view, _OracleView, _require_valid_core
+from hmlcause.composition import _prepare
 from hmlcause.computation import computation_traces, size_compatible
 from hmlcause.lts import State, Word
 
@@ -65,6 +76,53 @@ def satisfies(lts: Lts, s: State, f: Formula) -> bool:
         case Or(left, right):
             return satisfies(lts, s, left) or satisfies(lts, s, right)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reach(lts: Lts, source: State, word: Word) -> frozenset:
+    """States reachable from source by executing exactly the given word.
+
+    The empty word reaches the source itself; each further letter extends
+    every execution by one enabled transition.
+    """
+    if source not in lts.states:
+        raise ValueError(f"unknown state {format_state(source)!r}")
+    current = frozenset({source})
+    for label in word:
+        current = step(lts, current, label)
+        if not current:
+            return frozenset()
+    return current
+
+
+def project_word(word: Word, alphabet: Iterable[str]) -> Word:
+    """Subsequence of word consisting of the letters inside alphabet."""
+    allowed = frozenset(alphabet)
+    return tuple(label for label in word if label in allowed)
+
+
+class Classification(Enum):
+    """How the states reached by one word relate to the effect."""
+
+    ALL_SATISFY = "AllSatisfy"
+    ALL_VIOLATE = "AllViolate"
+    MIXED = "Mixed"
+    NOT_EXECUTABLE = "NotExecutable"
+
+
+def classify_word(ctx: EffectContext, word: Word) -> Classification:
+    """Classify a word by the effect status of every state it can reach."""
+    reached = reach(ctx.lts, ctx.lts.initial, tuple(word))
+    return _classify(reached, states_satisfying(ctx.lts, ctx.formula))
+
+
+def _classify(reached: frozenset, sat: frozenset) -> Classification:
+    if not reached:
+        return Classification.NOT_EXECUTABLE
+    if reached <= sat:
+        return Classification.ALL_SATISFY
+    if not (reached & sat):
+        return Classification.ALL_VIOLATE
+    return Classification.MIXED
 
 
 def shaped_words(lts: Lts, core_labels: Word, k: int) -> dict:
@@ -374,3 +432,53 @@ def searched_interleave(left: Lts, right: Lts) -> Lts:
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
+
+
+def word_lifting_check(
+    left: EffectContext, right: EffectContext, k: Optional[int] = None
+) -> CrossCheckReport:
+    """`cross_check_disjunction_lifting` word by word: the same lifting
+    test, then every kill word of every composite cause projected onto the
+    component that moves first and classified there."""
+    composite, k, pre = _prepare(left, right, k)
+    if not pre.ok:
+        return CrossCheckReport(False, "; ".join(pre.issues))
+    ctx = EffectContext(composite, Or(left.formula, right.formula))
+    composite_causes = causes(ctx, k).causes
+
+    expected = set()
+    for side_ctx, lift in (
+        (left, lambda s: (s, right.lts.initial)),
+        (right, lambda s: (left.lts.initial, s)),
+    ):
+        for report in causes(side_ctx, k).causes:
+            comp = report.computation
+            expected.add((tuple(map(lift, comp.states)), comp.labels))
+
+    actual = {
+        (r.computation.states, r.computation.labels) for r in composite_causes
+    }
+    if actual != expected:
+        missing = expected - actual
+        extra = actual - expected
+        return CrossCheckReport(
+            False,
+            f"lifting mismatch: {len(missing)} expected lifts missing, "
+            f"{len(extra)} unexpected causes",
+        )
+
+    for report in composite_causes:
+        labels = report.computation.labels
+        moving = left if labels[0] in left.lts.alphabet else right
+        for trace in report.kill_traces:
+            projected = project_word(trace, moving.lts.alphabet)
+            if (
+                classify_word(moving, projected)
+                is not Classification.ALL_VIOLATE
+            ):
+                return CrossCheckReport(
+                    False,
+                    f"escape trace {trace} projects to {projected}, which "
+                    "does not always escape in its own component",
+                )
+    return CrossCheckReport(True, "composite causes are exactly the lifts")

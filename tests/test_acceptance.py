@@ -9,11 +9,10 @@ import time
 from pathlib import Path
 
 from helpers import ROOT, init_actions, rand_formula, verify_both, w, words
-from reference import traces
+from reference import Classification, classify_word, traces
 from hmlcause import (
     And,
     Box,
-    Classification,
     Computation,
     Core,
     Diamond,
@@ -25,7 +24,6 @@ from hmlcause import (
     causal_projection,
     cause_candidate,
     causes,
-    classify_word,
     corpus,
     cross_check_disjunction_lifting,
     cross_check_single_component,

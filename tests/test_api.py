@@ -19,7 +19,6 @@ PUBLIC = [
     "CHOICE_INITIAL",
     "CauseReport",
     "CauseSet",
-    "Classification",
     "Computation",
     "ConditionReport",
     "Core",
@@ -44,7 +43,6 @@ PUBLIC = [
     "causes",
     "check_preconditions",
     "choice",
-    "classify_word",
     "computation_traces",
     "corpus",
     "cross_check_disjunction_lifting",
@@ -70,8 +68,6 @@ PUBLIC = [
     "oracle_check_details",
     "parse_aut",
     "parse_formula",
-    "project_word",
-    "reach",
     "reachable_states",
     "restrict_to_reachable",
     "satisfies",

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import w, words
-from reference import extension_universe, sub_cores, validate_computation
-from hmlcause import (
+from reference import (
     Classification,
+    classify_word,
+    extension_universe,
+    sub_cores,
+    validate_computation,
+)
+from hmlcause import (
     Computation,
     Core,
     EffectContext,
@@ -17,7 +22,6 @@ from hmlcause import (
     cause_candidate,
     causal_projection,
     causes,
-    classify_word,
     default_bound,
     exploration_is_exact,
     make_lts,

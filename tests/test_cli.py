@@ -398,8 +398,18 @@ PAIR = ("verify", "--theorem", "disjunction", F3L, F3R, "<h>tt", "<h'>tt")
         RANDOM + (F3L, F3R, "<h>tt", "<h'>tt"),
         PAIR + ("--seed", "7"),
         PAIR + ("--count", "3"),
+        ("verify", "--theorem", "lemmas", "--random", "--seed", "1", "--count", "-3"),
+        ("verify", "--theorem", "lemmas", "--random", "--seed", "1", "--count", "0"),
     ],
-    ids=["random-bound", "random-json", "random-positionals", "seed", "count"],
+    ids=[
+        "random-bound",
+        "random-json",
+        "random-positionals",
+        "seed",
+        "count",
+        "negative-count",
+        "zero-count",
+    ],
 )
 def test_verify_rejects_flags_its_mode_does_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from helpers import ROOT, verify_both, w
+from helpers import ROOT, cyclic_pair, verify_both, w
 from hmlcause import (
     And,
     EffectContext,
@@ -21,16 +21,18 @@ from hmlcause import (
     cross_check_disjunction_lifting,
     cross_check_single_component,
     emit_aut,
+    format_state,
     interleave,
     isomorphic,
     make_lts,
+    parse_aut,
     parse_formula,
     shrink_counterexample,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
     write_counterexample_bundle,
 )
-from hmlcause import causality
+from hmlcause import causality, composition
 from hmlcause.cli import main
 from hmlcause.testkit import corpus, fixture_context
 
@@ -197,31 +199,6 @@ def test_conjunction_with_one_empty_side():
     assert verify_disjunction_theorem(left, right).verdict == "holds"
 
 
-def cyclic_pair():
-    """A 25-state, 60-transition interleaving whose "both effects" context
-    has millions of kill words per core at bound 4."""
-    left = EffectContext(
-        make_lts(
-            "q0",
-            [("q0", "Lc", "q1"), ("q1", "Lc", "q2"), ("q2", "Lb", "q4"), ("q2", "Lc", "q3")],
-            extra_labels=["La", "Lb", "Lc"],
-        ),
-        parse_formula("<Lc>([La]!tt & <Lb>tt)"),
-    )
-    right = EffectContext(
-        make_lts(
-            "q0",
-            [
-                ("q0", "Ra", "q2"), ("q0", "Rb", "q0"), ("q0", "Rc", "q1"),
-                ("q1", "Rb", "q3"), ("q2", "Ra", "q0"), ("q2", "Ra", "q4"),
-                ("q2", "Rc", "q2"), ("q3", "Rb", "q2"),
-            ],
-        ),
-        parse_formula("<Ra>[Rc](!tt & tt)"),
-    )
-    return left, right
-
-
 def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kill set was spelled")
@@ -246,6 +223,71 @@ def test_cli_verifies_the_conjunction_law_on_the_cyclic_pair(tmp_path, capsys):
     argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "conjunction: holds-at-bound (bound 4)\n"
+
+
+def test_lemmas_spell_no_kill_word(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kill set was spelled")
+
+    monkeypatch.setattr(causality, "_spell", refuse)
+    left, right = cyclic_pair()
+    lifting = cross_check_disjunction_lifting(left, right, 5)
+    assert (lifting.ok, lifting.detail) == (
+        True,
+        "composite causes are exactly the lifts",
+    )
+    single = cross_check_single_component(left, right, 5)
+    assert (single.ok, single.detail) == (True, "all cores single-component")
+
+
+def test_lifting_check_names_a_state_whose_effect_does_not_split(monkeypatch):
+    composite = interleave(FIG3_L.lts, FIG3_R.lts)
+    either = Or(FIG3_L.formula, FIG3_R.formula)
+    real = composition.states_satisfying
+    dropped = min(real(composite, either), key=format_state)
+
+    def drop_one(lts, formula):
+        sat = real(lts, formula)
+        return sat - {dropped} if lts == composite else sat
+
+    monkeypatch.setattr(composition, "states_satisfying", drop_one)
+    report = cross_check_disjunction_lifting(FIG3_L, FIG3_R, 4)
+    assert (report.ok, report.detail) == (
+        False,
+        f"the effect at {format_state(dropped)} is not decided by its "
+        "components' effects",
+    )
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS is honoured on Linux"
+)
+def test_cli_checks_the_lemmas_on_the_cyclic_pair_in_bounded_memory(tmp_path):
+    import resource
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))
+
+    argv = [sys.executable, "-m", "hmlcause", "verify", "--theorem", "lemmas"]
+    for name, ctx in zip(("left", "right"), cyclic_pair()):
+        path = tmp_path / f"{name}.aut"
+        path.write_text(emit_aut(ctx.lts))
+        argv.append(str(path))
+    argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", "5"]
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        argv,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        preexec_fn=cap_address_space,
+    )
+    assert (done.returncode, done.stdout) == (
+        0,
+        "lifting: ok - composite causes are exactly the lifts\n"
+        "single-component: ok - all cores single-component\n",
+    ), done.stderr
 
 
 def test_verify_both_returns_paired_reports():
@@ -375,7 +417,7 @@ def test_laws_hold_on_generated_pairs(instance):
 def test_projected_kill_traces_disable_component_effect():
     """Every kill trace of a lifted cause projects onto the moving component
     as a word that disables that component's effect."""
-    from hmlcause import Classification, classify_word, project_word
+    from reference import Classification, classify_word, project_word
 
     composite = EffectContext(
         interleave(FIG3_L.lts, FIG3_R.lts),
@@ -478,6 +520,50 @@ def test_lemma_reports_on_ambiguous_pair():
     assert (single.ok, single.detail) == (
         False,
         "core ('a', 'd', \"h'\") moves both components",
+    )
+
+
+@pytest.mark.parametrize(
+    "left_aut, left_formula, right_aut, right_formula, k, side, core",
+    [
+        (
+            'des (0,4,4)\n(0,"Lb",1)\n(0,"Lc",2)\n(1,"Lb",2)\n(2,"Lc",3)\n'
+            "#alphabet: La\n",
+            "[Lc]<Lc><Lb>!tt",
+            'des (0,2,2)\n(0,"Rb",0)\n(0,"Rb",1)\n#alphabet: Ra Rc\n',
+            "[Rb]!tt & tt",
+            3,
+            "left",
+            ("Lb", "Lb", "Lc"),
+        ),
+        (
+            'des (0,4,3)\n(0,"Lb",1)\n(0,"Lb",2)\n(1,"Lb",2)\n(1,"Lc",2)\n'
+            "#alphabet: La\n",
+            "<La><La>!tt | <Lc>(tt | !tt)",
+            'des (0,3,3)\n(0,"Rb",1)\n(1,"Ra",2)\n(1,"Rc",0)\n',
+            "tt & [Rb]<Rb>!tt",
+            2,
+            "right",
+            ("Rb", "Ra"),
+        ),
+    ],
+    ids=["left", "right"],
+)
+def test_lemma_reports_on_a_core_that_is_no_component_cause(
+    left_aut, left_formula, right_aut, right_formula, k, side, core
+):
+    left = EffectContext(parse_aut(left_aut), parse_formula(left_formula))
+    right = EffectContext(parse_aut(right_aut), parse_formula(right_formula))
+    lifting = cross_check_disjunction_lifting(left, right, k)
+    assert (lifting.ok, lifting.detail) == (
+        False,
+        "lifting mismatch: 1 expected lifts missing, 1 unexpected causes",
+    )
+    single = cross_check_single_component(left, right, k)
+    assert (single.ok, single.detail) == (
+        False,
+        f"core {core} projects to {core}, which is not a cause core of the "
+        f"{side} component",
     )
 
 

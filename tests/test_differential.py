@@ -18,6 +18,7 @@ from hmlcause import (
     cause_candidate,
     causal_projection,
     causes,
+    cross_check_disjunction_lifting,
     gen_effect,
     emit_aut,
     gen_lts,
@@ -32,7 +33,6 @@ from hmlcause import (
     oracle_check_cause,
     oracle_check_details,
     parse_formula,
-    reach,
     restrict_to_reachable,
     step,
 )
@@ -45,15 +45,18 @@ from hmlcause.causality import (
 )
 from hmlcause.computation import computation_traces
 from hmlcause.testkit import fixtures
+from helpers import cyclic_pair
 from reference import (
     brute_isomorphic,
     brute_longest_acyclic_path,
+    reach,
     satisfies,
     searched_interleave,
     shaped_row_words,
     shaped_words,
     spell_row,
     validate_computation,
+    word_lifting_check,
     word_oracle_details,
 )
 
@@ -478,12 +481,16 @@ def test_trie_lookup_equals_reach_up_to_two_letters_past_its_depth(system, m, k)
 
 
 @st.composite
-def _contexts(draw):
+def _contexts(draw, namespace=""):
     """A generated system that may have cycles, made nondeterministic by one
     extra transition that reuses the label of an existing one and may close
-    a cycle, with a generated effect."""
+    a cycle, with a generated effect.  Its labels start with namespace."""
     params = GenParams(
-        seed=draw(st.integers(0, 10**6)), max_states=5, max_out_degree=3, acyclic=False
+        seed=draw(st.integers(0, 10**6)),
+        max_states=5,
+        max_out_degree=3,
+        acyclic=False,
+        namespace=namespace,
     )
     lts = gen_lts(params)
     src, label, dst = draw(st.sampled_from(sorted(lts.transitions)))
@@ -527,6 +534,17 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
         assert (comp is not None) == admits
         if comp is not None and oracle_check_cause(ctx, comp, k):
             assert emitted.get(core) == comp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(left=_contexts("L"), right=_contexts("R"), k=st.integers(0, 3))
+@example(left=cyclic_pair()[0], right=cyclic_pair()[1], k=3)
+def test_lifting_check_on_states_matches_the_word_level_check(left, right, k):
+    # the word-level check classifies the projection of every kill word; few
+    # drawn pairs have any, the example has 4,673
+    on_states = cross_check_disjunction_lifting(left, right, k)
+    on_words = word_lifting_check(left, right, k)
+    assert (on_states.ok, on_states.detail) == (on_words.ok, on_words.detail)
 
 
 def _assert_dropping_any_trace_breaks_ac2b(ctx: EffectContext, k: int) -> None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import init_actions, seeded_lts, w, words
+from reference import project_word, reach
 from hmlcause import (
     AutParseError,
     CHOICE_INITIAL,
@@ -26,8 +27,6 @@ from hmlcause import (
     make_lts,
     parse_aut,
     parse_formula,
-    project_word,
-    reach,
     reachable_states,
     restrict_to_reachable,
     subwords,
