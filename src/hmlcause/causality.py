@@ -165,17 +165,21 @@ def _evaluate_core(
     first core letter and embed the rest in order, with at most k letters
     after each) are explored at once as a DAG.  A node is (reached set,
     shape positions at k, shape positions at k+1, word length capped at
-    m+1); a shape position is a (consumed, gap) pair, and a set of them is a
-    bitmask with one row of gaps per consumed count, so every word follows
-    exactly one path.  Each letter moves the lowest position strictly
-    forward, so there are no cycles.  A word reaches the same states
-    whatever the bound and the universe at k lies inside the one at k+1, so
-    the bound is truncating exactly when a node accepted at k+1 but not at k
-    reaches a state outside the effect.  No word is spelled here: the kill
-    set is a KillSet over the productive sub-DAG (the nodes from which a
-    kill node can be reached) and the extension lists are an
-    ExtensionLists that it fills when first read.  Without kill words they
-    are an empty frozenset and m empty tuples.
+    m+1); a shape position is a (consumed, gap) pair, held as a bitmask
+    with one row of gaps per consumed count.  Each row keeps only its
+    smallest gap: a smaller gap admits every continuation a larger one
+    does, so acceptance at k and at k+1, the kill flag and the truncation
+    test, all existence tests, come out as they would with every position
+    kept.  A node is a function of the word, so every word follows exactly
+    one path, and each letter moves the lowest position strictly forward,
+    so there are no cycles.  A word reaches the same states whatever the
+    bound and the universe at k lies inside the one at k+1, so the bound is
+    truncating exactly when a node accepted at k+1 but not at k reaches a
+    state outside the effect.  No word is spelled here: the kill set is a
+    KillSet over the productive sub-DAG (the nodes from which a kill node
+    can be reached) and the extension lists are an ExtensionLists that it
+    fills when first read.  Without kill words they are an empty frozenset
+    and m empty tuples.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
@@ -184,45 +188,49 @@ def _evaluate_core(
     k_next = k if exact else k + 1
     width = k_next + 1
     row = (1 << width) - 1
+    all_rows = (1 << ((m + 1) * width)) - 1
     accepting = row << (m * width)
     # positions (c, g) with c >= 1 whose gap may still grow under each bound
     grow = sum(((1 << k) - 1) << (c * width) for c in range(1, m + 1))
     grow_next = sum(((1 << k_next) - 1) << (c * width) for c in range(1, m + 1))
-    # core letter c moves every (c, g) to (c + 1, 0)
-    advance: dict[str, list[tuple[int, int]]] = {}
+    # core letter c moves every (c, g) to (c + 1, 0), which replaces row c + 1
+    advance: dict[str, list[tuple[int, int, int]]] = {}
     for c, label in enumerate(labels):
+        source = row << (c * width)
         advance.setdefault(label, []).append(
-            (row << (c * width), 1 << ((c + 1) * width))
+            (source, all_rows ^ source << width, 1 << ((c + 1) * width))
         )
 
     def shift(positions: int, label: str, growable: int) -> int:
         nxt = (positions & growable) << 1
-        for source, target in advance.get(label, ()):
+        for source, keep, target in advance.get(label, ()):
             if positions & source:
-                nxt |= target
+                nxt = nxt & keep | target
         return nxt
 
+    # each node is numbered when first found; its children, kill flag and
+    # lowest position at k+1 are kept in lists under that number
     sat = space.sat
-    root = (space.initial, 1, 1, 0)
-    edges: dict[tuple, list] = {root: []}
-    kill_nodes: set = set()
+    index = {(space.initial, 1, 1, 0): 0}
+    edges: list[list] = [[]]
+    kill_flags = [False]
+    lowest = [1]
     truncated = False
-    stack = [root]
+    stack = [(space.initial, 1, 1, 0, 0)]
     while stack:
-        node = stack.pop()
-        reached, positions, positions_next, length = node
+        reached, positions, positions_next, length, i = stack.pop()
         inside = reached & sat
         if positions & accepting:
             if length == m:
                 if inside != reached:
                     return None
             elif not inside:
-                kill_nodes.add(node)
+                kill_flags[i] = True
             elif inside != reached:
                 return None
         elif positions_next & accepting and inside != reached:
             truncated = True
-        out = edges[node]
+        out = edges[i]
         longer = min(length + 1, m + 1)
         for label, nxt in space.moves(reached):
             nxt_positions_next = shift(positions_next, label, grow_next)
@@ -233,32 +241,35 @@ def _evaluate_core(
                 nxt_positions_next if exact else shift(positions, label, grow)
             )
             child = (nxt, nxt_positions, nxt_positions_next, longer)
-            out.append((label, child))
-            if child not in edges:
-                edges[child] = []
-                stack.append(child)
+            j = index.setdefault(child, len(edges))
+            out.append((label, j))
+            if j == len(edges):
+                edges.append([])
+                kill_flags.append(False)
+                lowest.append((nxt_positions_next & -nxt_positions_next).bit_length())
+                stack.append((*child, j))
+    del index
 
-    # children before parents: an edge raises the lowest position at k+1.
+    # children before parents: an edge raises the lowest position at k+1,
+    # since every position it keeps or adds lies above one it came from.
     # Each productive node (a kill node, or one with a productive child) is
-    # numbered and kept as (kill flag, path count, productive children as
+    # renumbered and kept as (kill flag, path count, productive children as
     # (label, number) pairs).  Those tuples hold only str and int, so the
     # cyclic collector stops scanning them, and `edges` dies on return.
-    number: dict[tuple, int] = {}
+    number = [-1] * len(edges)
     nodes: list[tuple] = []
-    for node in sorted(edges, key=lambda n: n[2] & -n[2], reverse=True):
-        children = [
-            (label, number[child]) for label, child in edges[node] if child in number
-        ]
-        is_kill = node in kill_nodes
+    for i in sorted(range(len(edges)), key=lowest.__getitem__, reverse=True):
+        children = [(label, number[j]) for label, j in edges[i] if number[j] >= 0]
+        is_kill = kill_flags[i]
         if is_kill or children:
             count = is_kill
             for _, child in children:
                 count += nodes[child][1]
-            number[node] = len(nodes)
+            number[i] = len(nodes)
             nodes.append((is_kill, count, tuple(children)))
-    if root not in number:
+    if number[0] < 0:
         return frozenset(), ((),) * m, truncated
-    kill = KillSet(labels, tuple(nodes), number[root])
+    kill = KillSet(labels, tuple(nodes), number[0])
     return kill, ExtensionLists(kill), truncated
 
 

@@ -214,6 +214,33 @@ def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
     ]
 
 
+def test_the_shape_dag_keeps_one_position_per_consumed_count(monkeypatch):
+    # the explore loop reads the moves of each DAG node once; with every
+    # gap of a consumed count kept, the "both effects" cores at bound 4
+    # build 70,380 nodes, and with only the smallest one 19,123
+    moves = causality._StateSets.moves
+    calls = 0
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return moves(self, mask)
+
+    monkeypatch.setattr(causality._StateSets, "moves", counted)
+    # past the cause-set cache, so the DAGs are built here
+    monkeypatch.setattr(
+        causality, "_causes_cached", causality._causes_cached.__wrapped__
+    )
+    left, right = cyclic_pair()
+    both = EffectContext(
+        interleave(left.lts, right.lts), And(left.formula, right.formula)
+    )
+    found = causes(both, 4).causes
+    assert calls < 20_000
+    assert len(found) == 6
+    assert sum(len(r.kill_traces) for r in found) == 24_347_733
+
+
 def test_cli_verifies_the_conjunction_law_on_the_cyclic_pair(tmp_path, capsys):
     argv = ["verify", "--theorem", "conjunction"]
     for name, ctx in zip(("left", "right"), cyclic_pair()):
@@ -262,19 +289,34 @@ def test_lifting_check_names_a_state_whose_effect_does_not_split(monkeypatch):
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="RLIMIT_AS is honoured on Linux"
 )
-def test_cli_checks_the_lemmas_on_the_cyclic_pair_in_bounded_memory(tmp_path):
+@pytest.mark.parametrize(
+    "theorem, bound, expected",
+    [
+        (
+            "lemmas",
+            5,
+            "lifting: ok - composite causes are exactly the lifts\n"
+            "single-component: ok - all cores single-component\n",
+        ),
+        ("conjunction", 6, "conjunction: holds-at-bound (bound 6)\n"),
+    ],
+    ids=["lemmas-5", "conjunction-6"],
+)
+def test_cli_checks_the_cyclic_pair_in_bounded_memory(
+    tmp_path, theorem, bound, expected
+):
     import resource
 
     def cap_address_space():
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
         resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))
 
-    argv = [sys.executable, "-m", "hmlcause", "verify", "--theorem", "lemmas"]
+    argv = [sys.executable, "-m", "hmlcause", "verify", "--theorem", theorem]
     for name, ctx in zip(("left", "right"), cyclic_pair()):
         path = tmp_path / f"{name}.aut"
         path.write_text(emit_aut(ctx.lts))
         argv.append(str(path))
-    argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", "5"]
+    argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", str(bound)]
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
         argv,
@@ -283,11 +325,7 @@ def test_cli_checks_the_lemmas_on_the_cyclic_pair_in_bounded_memory(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         preexec_fn=cap_address_space,
     )
-    assert (done.returncode, done.stdout) == (
-        0,
-        "lifting: ok - composite causes are exactly the lifts\n"
-        "single-component: ok - all cores single-component\n",
-    ), done.stderr
+    assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
 
 def test_verify_both_returns_paired_reports():

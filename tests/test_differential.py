@@ -37,6 +37,7 @@ from hmlcause import (
     step,
 )
 from hmlcause.causality import (
+    KillSet,
     _admits_candidate,
     _evaluate_core,
     _oracle_view,
@@ -279,6 +280,28 @@ def test_kernel_matches_word_level_reference(system, k, longest):
             assert evaluated == reference
 
 
+def _with_an_escape(drawn):
+    """The drawn system with an e-step from every state into a fresh dead
+    end x."""
+    return make_lts(
+        drawn.initial,
+        [*drawn.transitions, *((s, "e", "x") for s in drawn.states)],
+        extra_labels=drawn.alphabet,
+        extra_states=drawn.states,
+    )
+
+
+def _effect_around_the_core(universe, labels):
+    """The least state set that holds what the core word reaches and that
+    each shaped word reaches only inside or only outside of."""
+    effect = universe[labels]
+    mixed = [r for r in universe.values() if r & effect and not r <= effect]
+    while mixed:
+        effect = effect.union(*mixed)
+        mixed = [r for r in universe.values() if r & effect and not r <= effect]
+    return effect
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(system=_systems(), k=st.integers(1, 3))
 def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
@@ -288,12 +311,7 @@ def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
     # (a word ending in e reaches x alone), so every executable core is
     # clean at k and its word followed by e is a kill
     drawn, _ = system
-    lts = make_lts(
-        drawn.initial,
-        [*drawn.transitions, *((s, "e", "x") for s in drawn.states)],
-        extra_labels=drawn.alphabet,
-        extra_states=drawn.states,
-    )
+    lts = _with_an_escape(drawn)
     alphabet = sorted(drawn.alphabet)
     for labels in itertools.chain(
         itertools.product(alphabet, repeat=1), itertools.product(alphabet, repeat=2)
@@ -301,11 +319,7 @@ def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
         universe = shaped_words(lts, labels, k)
         if labels not in universe:
             continue
-        effect = universe[labels]
-        mixed = [r for r in universe.values() if r & effect and not r <= effect]
-        while mixed:
-            effect = effect.union(*mixed)
-            mixed = [r for r in universe.values() if r & effect and not r <= effect]
+        effect = _effect_around_the_core(universe, labels)
         universe_next = shaped_words(lts, labels, k + 1)
         probes = _probes(universe_next, labels)
         space = _StateSets(lts, effect)
@@ -388,6 +402,50 @@ def test_kernel_truncates_when_the_next_bound_adds_a_mixed_word():
     assert _evaluate_core(space, ("a",), 1, False) == (frozenset(), ((),), True)
     assert _evaluate_core(space, ("a",), 1, True) == (frozenset(), ((),), False)
     assert _evaluate_core(space, ("a",), 2, False) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    system=_systems(),
+    picks=st.lists(st.integers(0, 5), max_size=3),
+    k=st.integers(0, 3),
+)
+def test_kernel_numbers_the_productive_dag_children_first(system, picks, k):
+    # a node is kept only once its productive children are numbered, so a
+    # sort key that let a child come after its parent would lose the
+    # child's words from the count and from the spelling alike; the escaping
+    # shaped words of the reference tell.  The core is an executable word
+    # of up to 3 letters, each picked among those its prefix enables, and
+    # the effect is drawn around it with an e-step out, as in the test
+    # above, so that many cores have kill words
+    drawn, _ = system
+    labels, current = (), frozenset({drawn.initial})
+    for pick in picks:
+        enabled = sorted({label for s in current for label, _ in drawn.outgoing(s)})
+        if not enabled:
+            break
+        labels += (enabled[pick % len(enabled)],)
+        current = step(drawn, current, labels[-1])
+    lts = _with_an_escape(drawn)
+    universe = shaped_words(lts, labels, k)
+    sat = _effect_around_the_core(universe, labels)
+    space = _StateSets(lts, sat)
+    escaping = {
+        word
+        for word, reached in universe.items()
+        if word != labels and not reached & sat
+    }
+    for exact in (True, False):
+        evaluated = _evaluate_core(space, labels, k, exact)
+        if evaluated is None:
+            continue
+        kill = evaluated[0]
+        if isinstance(kill, KillSet):
+            for number, (_, _, children) in enumerate(kill._nodes):
+                assert all(child < number for _, child in children)
+        size = len(kill)
+        assert size == len(set(kill)) == len(escaping)
+        assert kill == escaping
 
 
 # ---------------------------------------------------------------- oracle
