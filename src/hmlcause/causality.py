@@ -164,61 +164,64 @@ def _evaluate_core(
     The shaped words at k and at k+1 (executable words that start with the
     first core letter and embed the rest in order, with at most k letters
     after each) are explored at once as a DAG.  A node is (reached set,
-    shape positions at k, shape positions at k+1, word length capped at
-    m+1); a shape position is a (consumed, gap) pair, held as a bitmask
-    with one row of gaps per consumed count.  Each row keeps only its
-    smallest gap: a smaller gap admits every continuation a larger one
-    does, so acceptance at k and at k+1, the kill flag and the truncation
-    test, all existence tests, come out as they would with every position
-    kept.  A node is a function of the word, so every word follows exactly
-    one path, and each letter moves the lowest position strictly forward,
-    so there are no cycles.  A word reaches the same states whatever the
-    bound and the universe at k lies inside the one at k+1, so the bound is
-    truncating exactly when a node accepted at k+1 but not at k reaches a
-    state outside the effect.  No word is spelled here: the kill set is a
-    KillSet over the productive sub-DAG (the nodes from which a kill node
-    can be reached) and the extension lists are an ExtensionLists that it
-    fills when first read.  Without kill words they are an empty frozenset
-    and m empty tuples.
+    shape positions, word length capped at m+1); a shape position is a
+    (consumed, gap) pair.  Each consumed count keeps only its smallest gap:
+    a smaller gap admits every continuation a larger one does, so
+    acceptance at k and at k+1, the kill flag and the truncation test, all
+    existence tests, come out as they would with every position kept.
+
+    So the positions with c letters consumed, row c, are one small number.
+    Both position sets share one int of 2(m+1) fields, the set at k+1 in
+    the high half.  A field is B value bits under a guard bit, and row c of
+    the set at bound K sits at field m-c and holds K+1-gap, or 0 when the
+    row is empty; row 0 starts at gap K, as no letter may come before the
+    first core letter.
+    A letter lowers every nonzero field by one at once, through the guard
+    bits, so a gap that passes K empties its row; core letter c then sets
+    row c+1 to K+1 wherever row c was nonempty, in both halves at once.
+
+    A node is a function of the word, so every word follows exactly one
+    path.  A word reaches the same states whatever the bound and the
+    universe at k lies inside the one at k+1, so the bound is truncating
+    exactly when a node accepted at k+1 but not at k reaches a state
+    outside the effect.  No word is spelled here: the kill set is a KillSet
+    over the productive sub-DAG (the nodes from which a kill node can be
+    reached) and the extension lists are an ExtensionLists that it fills
+    when first read.  Without kill words they are an empty frozenset and m
+    empty tuples.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
     """
     m = len(labels)
     k_next = k if exact else k + 1
-    width = k_next + 1
-    row = (1 << width) - 1
-    all_rows = (1 << ((m + 1) * width)) - 1
-    accepting = row << (m * width)
-    # positions (c, g) with c >= 1 whose gap may still grow under each bound
-    grow = sum(((1 << k) - 1) << (c * width) for c in range(1, m + 1))
-    grow_next = sum(((1 << k_next) - 1) << (c * width) for c in range(1, m + 1))
-    # core letter c moves every (c, g) to (c + 1, 0), which replaces row c + 1
-    advance: dict[str, list[tuple[int, int, int]]] = {}
+    B = (k_next + 1).bit_length()
+    width = B + 1
+    high = (m + 1) * width
+    field = (1 << B) - 1
+    half = ((1 << high) - 1) // ((1 << width) - 1)  # bit 0 of each field of a half
+    ones = half | half << high
+    guards = ones << B
+    values = ones * field
+    fresh = (k + 1) * half | (k_next + 1) * half << high  # gap 0 in every row
+    accepting, accepting_next = field, field << high
+    # per label, the rows c whose core letter it is, in both halves
+    advance: dict[str, int] = {}
     for c, label in enumerate(labels):
-        source = row << (c * width)
-        advance.setdefault(label, []).append(
-            (source, all_rows ^ source << width, 1 << ((c + 1) * width))
-        )
+        row = (field | field << high) << ((m - c) * width)
+        advance[label] = advance.get(label, 0) | row
 
-    def shift(positions: int, label: str, growable: int) -> int:
-        nxt = (positions & growable) << 1
-        for source, keep, target in advance.get(label, ()):
-            if positions & source:
-                nxt = nxt & keep | target
-        return nxt
-
-    # each node is numbered when first found; its children, kill flag and
-    # lowest position at k+1 are kept in lists under that number
+    # each node is numbered when first found; its children and kill flag
+    # are kept in lists under that number
     sat = space.sat
-    index = {(space.initial, 1, 1, 0): 0}
+    root = (space.initial, (1 | 1 << high) << (m * width), 0)
+    index = {root: 0}
     edges: list[list] = [[]]
     kill_flags = [False]
-    lowest = [1]
     truncated = False
-    stack = [(space.initial, 1, 1, 0, 0)]
+    stack = [(*root, 0)]
     while stack:
-        reached, positions, positions_next, length, i = stack.pop()
+        reached, positions, length, i = stack.pop()
         inside = reached & sat
         if positions & accepting:
             if length == m:
@@ -228,37 +231,43 @@ def _evaluate_core(
                 kill_flags[i] = True
             elif inside != reached:
                 return None
-        elif positions_next & accepting and inside != reached:
+        elif positions & accepting_next and inside != reached:
             truncated = True
         out = edges[i]
         longer = min(length + 1, m + 1)
+        # every gap grows: each nonzero field loses one
+        grown = positions - (((positions + values) & guards) >> B)
         for label, nxt in space.moves(reached):
-            nxt_positions_next = shift(positions_next, label, grow_next)
-            if not nxt_positions_next:
+            nxt_positions = grown
+            # a core letter moves row c to gap 0 in row c+1, one field lower
+            moved = positions & advance.get(label, 0)
+            if moved:
+                rows = (((moved + values) & guards) >> (B + width)) * field
+                nxt_positions = nxt_positions & ~rows | fresh & rows
+            if not nxt_positions:
                 continue
-            # on an exact bound k + 1 is k, so both position sets coincide
-            nxt_positions = (
-                nxt_positions_next if exact else shift(positions, label, grow)
-            )
-            child = (nxt, nxt_positions, nxt_positions_next, longer)
+            child = (nxt, nxt_positions, longer)
             j = index.setdefault(child, len(edges))
             out.append((label, j))
             if j == len(edges):
                 edges.append([])
                 kill_flags.append(False)
-                lowest.append((nxt_positions_next & -nxt_positions_next).bit_length())
                 stack.append((*child, j))
-    del index
 
-    # children before parents: an edge raises the lowest position at k+1,
-    # since every position it keeps or adds lies above one it came from.
+    # children before parents, by the positions int itself: its highest
+    # nonzero field is the lowest nonempty row at k+1 (the set at k lies
+    # inside that at k+1), and an edge lowers that field or empties it and
+    # sets rows only in lower fields, so the int strictly falls along every
+    # edge.  No separate key is needed.
+    order = sorted(range(len(edges)), key=[key[1] for key in index].__getitem__)
+    del index
     # Each productive node (a kill node, or one with a productive child) is
     # renumbered and kept as (kill flag, path count, productive children as
     # (label, number) pairs).  Those tuples hold only str and int, so the
     # cyclic collector stops scanning them, and `edges` dies on return.
     number = [-1] * len(edges)
     nodes: list[tuple] = []
-    for i in sorted(range(len(edges)), key=lowest.__getitem__, reverse=True):
+    for i in order:
         children = [(label, number[j]) for label, j in edges[i] if number[j] >= 0]
         is_kill = kill_flags[i]
         if is_kill or children:
@@ -477,6 +486,8 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
                     kill_traces=kill,
                 )
             )
+        if not survivors:
+            break
         level = survivors
 
     accepted.sort(key=CauseReport.sort_key)

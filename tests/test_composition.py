@@ -286,9 +286,30 @@ def test_lifting_check_names_a_state_whose_effect_does_not_split(monkeypatch):
     )
 
 
-@pytest.mark.skipif(
+def _run_in_300_mb(argv):
+    """Run argv in a child whose address space is capped at 300 MB."""
+    import resource
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))
+
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        argv,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        preexec_fn=cap_address_space,
+    )
+
+
+linux_only = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="RLIMIT_AS is honoured on Linux"
 )
+
+
+@linux_only
 @pytest.mark.parametrize(
     "theorem, bound, expected",
     [
@@ -305,27 +326,40 @@ def test_lifting_check_names_a_state_whose_effect_does_not_split(monkeypatch):
 def test_cli_checks_the_cyclic_pair_in_bounded_memory(
     tmp_path, theorem, bound, expected
 ):
-    import resource
-
-    def cap_address_space():
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, hard))
-
     argv = [sys.executable, "-m", "hmlcause", "verify", "--theorem", theorem]
     for name, ctx in zip(("left", "right"), cyclic_pair()):
         path = tmp_path / f"{name}.aut"
         path.write_text(emit_aut(ctx.lts))
         argv.append(str(path))
     argv += ["<Lc>([La]!tt & <Lb>tt)", "<Ra>[Rc](!tt & tt)", "--bound", str(bound)]
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run(
-        argv,
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-        preexec_fn=cap_address_space,
-    )
+    done = _run_in_300_mb(argv)
     assert (done.returncode, done.stdout) == (0, expected), done.stderr
+
+
+_T5_AT_30000 = """
+import sys
+from pathlib import Path
+from hmlcause import EffectContext, causality, causes, parse_aut, parse_formula
+
+def refuse(*args):
+    raise AssertionError("a kill set was spelled")
+
+causality._spell = refuse
+ctx = EffectContext(parse_aut(Path(sys.argv[1]).read_text()), parse_formula("<h>tt"))
+for report in causes(ctx, 30000).causes:
+    comp = report.computation
+    print("".join(comp.labels), comp.truncated, len(report.kill_traces))
+"""
+
+
+@linux_only
+def test_causes_of_the_loop_fixture_at_a_large_bound_fit_in_bounded_memory():
+    # t5 is s0 -a-> s1 with an i-loop on s1 and s1 -h-> s2: the one cause a
+    # has the kill words a i^j h for j < k, and its DAG about 2k nodes, each
+    # keyed by an int whose size grows with log k only
+    argv = [sys.executable, "-c", _T5_AT_30000, str(ROOT / "fixtures" / "t5.aut")]
+    done = _run_in_300_mb(argv)
+    assert (done.returncode, done.stdout) == (0, "a True 30000\n"), done.stderr
 
 
 def test_verify_both_returns_paired_reports():

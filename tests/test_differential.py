@@ -132,14 +132,16 @@ def _word_level_evaluate(universe, universe_next, sat, labels, exact):
 
 
 @st.composite
-def _systems(draw):
-    """A system on at most 5 states and 3 labels, where cycles, self-loops,
-    nondeterminism and unreachable states all occur, with an effect state
-    set.  Each state up to a drawn one gets a tree edge from a lower state;
-    the states after it have only the random edges."""
+def _systems(draw, letters="abc"):
+    """A system on at most 5 states and labels drawn from letters, where
+    cycles, self-loops, nondeterminism and unreachable states all occur,
+    with an effect state set.  Each state up to a drawn one gets a tree edge
+    from a lower state; the states after it have only the random edges."""
     n = draw(st.integers(1, 5))
     reached = n - draw(st.integers(0, n - 1))
-    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    labels = draw(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=3, unique=True)
+    )
     label = st.sampled_from(labels)
     states = [f"s{i}" for i in range(n)]
     state = st.sampled_from(states)
@@ -302,20 +304,14 @@ def _effect_around_the_core(universe, labels):
     return effect
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(system=_systems(), k=st.integers(1, 3))
-def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
+def _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores):
     # every state gets an e-step into a fresh dead end x, and the effect is
     # the least state set that holds what the core word reaches and that
     # each word reaches only inside or only outside of.  x stays outside
     # (a word ending in e reaches x alone), so every executable core is
     # clean at k and its word followed by e is a kill
-    drawn, _ = system
     lts = _with_an_escape(drawn)
-    alphabet = sorted(drawn.alphabet)
-    for labels in itertools.chain(
-        itertools.product(alphabet, repeat=1), itertools.product(alphabet, repeat=2)
-    ):
+    for labels in cores:
         universe = shaped_words(lts, labels, k)
         if labels not in universe:
             continue
@@ -331,6 +327,33 @@ def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
             assert labels + ("e",) in reference[0]
             _assert_same_kills_and_lists(evaluated, reference, probes)
             assert evaluated == reference
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_systems(), k=st.integers(1, 3))
+def test_kernel_matches_the_reference_on_cores_that_can_escape(system, k):
+    drawn, _ = system
+    alphabet = sorted(drawn.alphabet)
+    cores = itertools.chain(
+        itertools.product(alphabet, repeat=1), itertools.product(alphabet, repeat=2)
+    )
+    _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_systems("ab"), k=st.sampled_from((1, 2, 5, 6)))
+def test_kernel_matches_the_reference_where_a_gap_fills_its_field(system, k):
+    # a row of the kernel's positions is a field of B = (k_next + 1).bit_length()
+    # value bits under a guard bit; at these bounds k+1 or k+2 is 2^B - 1 or
+    # 2^B, so a field one bit too narrow, a value off by one or a missing
+    # guard shows.  Two-letter cores only up to k=2, where the reference
+    # stays cheap
+    drawn, _ = system
+    alphabet = sorted(drawn.alphabet)
+    cores = [(a,) for a in alphabet]
+    if k <= 2:
+        cores += itertools.product(alphabet, repeat=2)
+    _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores)
 
 
 def _probes(universe_next, labels):
@@ -562,6 +585,25 @@ def _contexts(draw, namespace=""):
         assume(False)
 
 
+@st.composite
+def _contexts_with_an_exit(draw, namespace=""):
+    """A `_contexts` system where some states other than the initial one get
+    an h-step into a fresh dead end x, with the effect <h>tt.  A word that
+    ends in h reaches x alone and escapes the effect, so most causes have
+    kill words.  The labels h and x start with namespace."""
+    lts = draw(_contexts(namespace)).lts
+    inner = sorted(lts.states - {lts.initial})
+    gates = draw(st.sets(st.sampled_from(inner), min_size=1))
+    exit_label, dead_end = namespace + "h", namespace + "x"
+    lts = Lts(
+        lts.states | {dead_end},
+        lts.initial,
+        lts.alphabet | {exit_label},
+        lts.transitions | {(s, exit_label, dead_end) for s in gates},
+    )
+    return EffectContext(lts, parse_formula(f"<{exit_label}>tt"))
+
+
 def _path_cores(lts: Lts, k: int):
     level = [((lts.initial,), ())]
     for _ in range(k + 1):
@@ -595,14 +637,20 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(left=_contexts("L"), right=_contexts("R"), k=st.integers(0, 3))
-@example(left=cyclic_pair()[0], right=cyclic_pair()[1], k=3)
-def test_lifting_check_on_states_matches_the_word_level_check(left, right, k):
-    # the word-level check classifies the projection of every kill word; few
-    # drawn pairs have any, the example has 4,673
-    on_states = cross_check_disjunction_lifting(left, right, k)
-    on_words = word_lifting_check(left, right, k)
-    assert (on_states.ok, on_states.detail) == (on_words.ok, on_words.detail)
+@given(
+    left=st.one_of(_contexts("L"), _contexts_with_an_exit("L")),
+    right=st.one_of(_contexts("R"), _contexts_with_an_exit("R")),
+)
+@example(left=cyclic_pair()[0], right=cyclic_pair()[1])
+def test_lifting_check_on_states_matches_the_word_level_check(left, right):
+    # the word-level check classifies the projection of every kill word.
+    # Every pair is checked at each bound from 0 to 3, since a drawn bound
+    # is mostly 0, which admits no kill word; a side with an exit gives
+    # most causes kill words, and the example has 4,673 at bound 3
+    for k in range(4):
+        on_states = cross_check_disjunction_lifting(left, right, k)
+        on_words = word_lifting_check(left, right, k)
+        assert (on_states.ok, on_states.detail) == (on_words.ok, on_words.detail)
 
 
 def _assert_dropping_any_trace_breaks_ac2b(ctx: EffectContext, k: int) -> None:
