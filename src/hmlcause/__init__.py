@@ -67,7 +67,6 @@ _EXPORTS = {
         "format_state",
         "interleave",
         "is_acyclic",
-        "isomorphic",
         "longest_acyclic_path",
         "make_lts",
         "parse_aut",

@@ -369,6 +369,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # only a MemoryError gets here; its traceback, and the analysis the
+    # traceback kept alive, are freed once the handler is left
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

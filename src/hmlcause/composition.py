@@ -31,7 +31,6 @@ from .lts import (
     emit_aut,
     format_state,
     interleave,
-    isomorphic,
 )
 
 
@@ -170,8 +169,6 @@ def verify_disjunction_theorem(
     )
     rhs = choice(causal_projection(left, k), causal_projection(right, k))
     mapping = _renaming(lhs, rhs, left.lts.initial, right.lts.initial)
-    if mapping is None:
-        mapping = isomorphic(lhs, rhs)
     if mapping is not None:
         return TheoremReport(
             "disjunction", "holds", _witness_json(mapping), None, k
@@ -181,7 +178,7 @@ def verify_disjunction_theorem(
         "fails",
         None,
         _counterexample_payload(
-            left, right, lhs, rhs, "projections are not isomorphic"
+            left, right, lhs, rhs, "projections differ under the branch renaming"
         ),
         k,
     )
@@ -214,14 +211,11 @@ def verify_conjunction_theorem(
         rhs = interleave(causal_projection(left, k), causal_projection(right, k))
     if lhs == rhs:
         return TheoremReport("conjunction", "holds", None, None, k)
-    reason = "projections differ"
-    if isomorphic(lhs, rhs) is not None:
-        reason = "projections are isomorphic but not equal"
     return TheoremReport(
         "conjunction",
         "fails",
         None,
-        _counterexample_payload(left, right, lhs, rhs, reason),
+        _counterexample_payload(left, right, lhs, rhs, "projections differ"),
         k,
     )
 

@@ -364,115 +364,3 @@ def emit_dot(lts: Lts) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism
-
-def _signatures(lts: Lts) -> dict:
-    """Per state, a hash of (is initial, outgoing labels, incoming labels)
-    refined twice by the neighbours' signatures along each edge.  Every
-    isomorphism preserves it, and equal values hash alike, so grouping
-    states by it never separates a state from its image."""
-    incoming: dict[State, list] = {s: [] for s in lts.states}
-    for src, label, dst in lts.transitions:
-        incoming[dst].append((label, src))
-    sig = {
-        s: (
-            s == lts.initial,
-            tuple(sorted(label for label, _ in lts.outgoing(s))),
-            tuple(sorted(label for label, _ in incoming[s])),
-        )
-        for s in lts.states
-    }
-    for _ in range(2):
-        sig = {
-            s: (
-                sig[s],
-                tuple(sorted((label, sig[t]) for label, t in lts.outgoing(s))),
-                tuple(sorted((label, sig[t]) for label, t in incoming[s])),
-            )
-            for s in lts.states
-        }
-    return {s: hash(v) for s, v in sig.items()}
-
-
-def isomorphic(left: Lts, right: Lts) -> Optional[dict]:
-    """Search for a label-preserving bijection between the reachable parts.
-
-    Returns a state mapping from left to right, or None.  The initial state
-    maps to the initial state, any other state to a state of its signature,
-    and states are mapped rarest signature first.  A state with an incoming
-    edge from a state already mapped takes as candidates only the
-    successors of that source's image under the edge's label, since the
-    search accepts no others; any other state tries its whole signature
-    class.
-    """
-    left = restrict_to_reachable(left)
-    right = restrict_to_reachable(right)
-    if len(left.transitions) != len(right.transitions):
-        return None
-    lsig = _signatures(left)
-    rsig = _signatures(right)
-    # unequal state counts give lists of unequal length
-    if sorted(lsig.values()) != sorted(rsig.values()):
-        return None
-
-    by_sig: dict[int, list] = {}
-    for s in sorted(right.states, key=format_state):
-        by_sig.setdefault(rsig[s], []).append(s)
-    order = sorted(left.states, key=lambda s: (len(by_sig[lsig[s]]), format_state(s)))
-    lin: dict[State, list] = {s: [] for s in left.states}
-    for src, label, dst in left.transitions:
-        lin[dst].append((label, src))
-    rtrans = right.transitions
-    mapping: dict = {}
-    used: set = set()
-
-    # every left transition is checked here once both its ends are mapped;
-    # with the mapping injective and the transition counts equal, that
-    # makes it a bijection on transitions too
-    def consistent(s: State, t: State) -> bool:
-        for label, dst in left.outgoing(s):
-            if dst == s and (t, label, t) not in rtrans:
-                return False
-            if dst in mapping and (t, label, mapping[dst]) not in rtrans:
-                return False
-        for label, src in lin[s]:
-            if src in mapping and (mapping[src], label, t) not in rtrans:
-                return False
-        return True
-
-    def candidates(s: State) -> list:
-        if s == left.initial:
-            return [right.initial]
-        for label, src in lin[s]:
-            if src in mapping:
-                return [
-                    dst
-                    for name, dst in right.outgoing(mapping[src])
-                    if name == label and rsig[dst] == lsig[s]
-                ]
-        return by_sig[lsig[s]]
-
-    # depth-first search with one candidate iterator per assigned position;
-    # `used` is back at its entry value whenever a position's iterator resumes
-    stack: list = []
-    i = 0
-    while i < len(order):
-        s = order[i]
-        if len(stack) == i:
-            stack.append(iter(candidates(s)))
-        for t in stack[i]:
-            if t not in used and consistent(s, t):
-                mapping[s] = t
-                used.add(t)
-                i += 1
-                break
-        else:
-            stack.pop()
-            if not stack:
-                return None
-            i -= 1
-            used.discard(mapping.pop(order[i]))
-    return mapping

@@ -18,7 +18,8 @@
 - `sub_cores`, every core below a given one, as the minimality reference.
 - `traces`, the (label, extension list) pairs form of `computation_traces`.
 - `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
-- `brute_isomorphic`, a search over every bijection of the reachable parts.
+- `brute_isomorphic`, a search over every bijection of the reachable parts,
+  which shows that a failing disjunction law fails beyond its renaming too.
 - `searched_interleave`, the interleaving found by a breadth-first search
   from the joint initial state.
 

@@ -61,7 +61,6 @@ PUBLIC = [
     "interleave",
     "is_acyclic",
     "is_immediate_effect",
-    "isomorphic",
     "longest_acyclic_path",
     "make_lts",
     "oracle_check_cause",

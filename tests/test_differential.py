@@ -23,7 +23,6 @@ from hmlcause import (
     emit_aut,
     gen_lts,
     interleave,
-    isomorphic,
     Computation,
     Not,
     fixture_context,
@@ -32,9 +31,10 @@ from hmlcause import (
     make_lts,
     oracle_check_cause,
     oracle_check_details,
+    parse_aut,
     parse_formula,
-    restrict_to_reachable,
     step,
+    verify_disjunction_theorem,
 )
 from hmlcause.causality import (
     KillSet,
@@ -179,58 +179,6 @@ def _systems(draw, letters="abc"):
 def test_longest_acyclic_path_matches_exhaustive_search(system):
     lts, _ = system
     assert longest_acyclic_path(lts) == brute_longest_acyclic_path(lts)
-
-
-@st.composite
-def _isomorphism_pairs(draw):
-    """A system on at most 6 states and 2 labels, each state reached by a
-    tree edge, with self-loops and nondeterminism among the other edges, and
-    a renamed copy of it, in about half the draws with one transition
-    retargeted, relabeled, dropped or added."""
-    n = draw(st.integers(1, 6))
-    state = st.integers(0, n - 1)
-    label = st.sampled_from("ab")
-    triple = st.tuples(state, label, state)
-    transitions = {
-        (draw(st.integers(0, i - 1)), draw(label), i) for i in range(1, n)
-    } | draw(st.sets(triple, max_size=8))
-    left = make_lts(0, transitions, extra_labels="ab", extra_states=range(n))
-    image = draw(st.permutations(range(n)))
-    copy = {(image[s], a, image[t]) for s, a, t in transitions}
-    if draw(st.booleans()):
-        kind = draw(st.sampled_from(("retarget", "relabel", "drop", "add")))
-        if kind == "add" or not copy:
-            copy.add(draw(triple))
-        else:
-            s, a, t = draw(st.sampled_from(sorted(copy)))
-            copy.discard((s, a, t))
-            if kind == "retarget":
-                copy.add((s, a, draw(state)))
-            elif kind == "relabel":
-                copy.add((s, "b" if a == "a" else "a", t))
-    right = make_lts(
-        f"r{image[0]}",
-        [(f"r{s}", a, f"r{t}") for s, a, t in copy],
-        extra_labels="ab",
-        extra_states=[f"r{s}" for s in range(n)],
-    )
-    return left, right
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(pair=_isomorphism_pairs())
-def test_isomorphic_matches_a_search_over_every_bijection(pair):
-    left, right = pair
-    mapping = isomorphic(left, right)
-    assert (mapping is not None) == brute_isomorphic(left, right)
-    if mapping is not None:
-        left_part, right_part = restrict_to_reachable(left), restrict_to_reachable(right)
-        assert mapping.keys() == left_part.states
-        assert set(mapping.values()) == right_part.states
-        assert mapping[left.initial] == right.initial
-        assert right_part.transitions == {
-            (mapping[s], a, mapping[t]) for s, a, t in left_part.transitions
-        }
 
 
 # a label shared by both sides, and unreachable states on both sides
@@ -562,13 +510,14 @@ def test_trie_lookup_equals_reach_up_to_two_letters_past_its_depth(system, m, k)
 
 
 @st.composite
-def _contexts(draw, namespace=""):
-    """A generated system that may have cycles, made nondeterministic by one
-    extra transition that reuses the label of an existing one and may close
-    a cycle, with a generated effect.  Its labels start with namespace."""
+def _contexts(draw, namespace="", max_states=5):
+    """A generated system on at most max_states states that may have cycles,
+    made nondeterministic by one extra transition that reuses the label of an
+    existing one and may close a cycle, with a generated effect.  Its labels
+    start with namespace."""
     params = GenParams(
         seed=draw(st.integers(0, 10**6)),
-        max_states=5,
+        max_states=max_states,
         max_out_degree=3,
         acyclic=False,
         namespace=namespace,
@@ -615,8 +564,10 @@ def _path_cores(lts: Lts, k: int):
         ]
 
 
+# at k=0 no core is enumerated, so the draws start at 1
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(ctx=_contexts(), k=st.integers(0, 3))
+@given(ctx=_contexts(), k=st.integers(1, 3))
+@example(ctx=fixture_context("t5"), k=0)
 def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
     lts = ctx.lts
     emitted = {}
@@ -651,6 +602,34 @@ def test_lifting_check_on_states_matches_the_word_level_check(left, right):
         on_states = cross_check_disjunction_lifting(left, right, k)
         on_words = word_lifting_check(left, right, k)
         assert (on_states.ok, on_states.detail) == (on_words.ok, on_words.detail)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    left=_contexts("L", max_states=3),
+    right=_contexts("R", max_states=3),
+    k=st.integers(2, 3),
+)
+@example(
+    left=EffectContext(
+        make_lts("s0", [("s0", "a", "s1"), ("s1", "h", "s2")]),
+        parse_formula("<h>tt"),
+    ),
+    right=EffectContext(
+        make_lts("p0", [("p0", "d", "p1"), ("p0", "d", "p0"), ("p1", "e", "p2")]),
+        parse_formula("<e>tt"),
+    ),
+    k=2,
+)
+def test_a_failing_disjunction_has_no_isomorphic_projections(left, right, k):
+    # the law is checked by its branch renaming alone; when that fails, no
+    # other bijection of the two projections fits either.  The bound starts
+    # at 2, since at 1 such small pairs rarely if ever fail
+    report = verify_disjunction_theorem(left, right, k)
+    if report.verdict == "fails":
+        lhs = parse_aut(report.counterexample["lhs"])
+        rhs = parse_aut(report.counterexample["rhs"])
+        assert not brute_isomorphic(lhs, rhs)
 
 
 def _assert_dropping_any_trace_breaks_ac2b(ctx: EffectContext, k: int) -> None:
@@ -850,15 +829,17 @@ def _with_unreachable_states(lts: Lts) -> Lts:
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(ctx=_contexts(), k=st.integers(0, 4))
+@given(ctx=_contexts(), k=st.integers(1, 4))
+@example(ctx=fixture_context("t5"), k=0)
 def test_unreachable_states_change_no_cause_set(ctx, k):
     grown = EffectContext(_with_unreachable_states(ctx.lts), ctx.formula)
     assert causes(grown, k).to_json() == causes(ctx, k).to_json()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(ctx=_contexts(), k=st.integers(0, 4))
-def test_renamed_states_give_an_isomorphic_projection(ctx, k):
+@given(ctx=_contexts(), k=st.integers(1, 4))
+@example(ctx=fixture_context("t5"), k=0)
+def test_renamed_states_give_the_renamed_projection(ctx, k):
     lts = ctx.lts
     # reverse the name order so that core sorting sees a different order
     names = sorted(lts.states)
@@ -871,7 +852,6 @@ def test_renamed_states_give_an_isomorphic_projection(ctx, k):
     )
     projection = causal_projection(ctx, k)
     renamed_projection = causal_projection(EffectContext(renamed, ctx.formula), k)
-    assert isomorphic(projection, renamed_projection) is not None
     assert renamed_projection == Lts(
         frozenset(rename[s] for s in projection.states),
         rename[projection.initial],
