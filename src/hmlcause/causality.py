@@ -26,6 +26,7 @@ from .hml import EffectContext, format_formula, states_satisfying
 from .lts import (
     Lts,
     Word,
+    _state_heights,
     _state_to_json,
     format_state,
     longest_acyclic_path,
@@ -119,7 +120,7 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
 
 class _StateSets:
     """One system's states numbered once, state sets as int bitmasks, and
-    the one-letter moves out of each set memoised per set.
+    the one-letter moves out of each set and its height memoised per set.
 
     An instance lives for one `causes` or `cause_candidate` call and is
     shared by every core that call judges.  It is never stored on the Lts,
@@ -136,13 +137,17 @@ class _StateSets:
         self._moves: dict[int, tuple] = {}
         self.initial = 1 << index[lts.initial]
         self.sat = sum(1 << index[s] for s in sat)
+        self.longest = longest_acyclic_path(lts)
+        heights = _state_heights(lts)
+        self._state_heights = [heights.get(s, 0) for s in index]
+        self._heights: dict[int, int] = {}
 
     def moves(self, mask: int) -> tuple:
         """(label, successor set) for every label some state of mask enables,
         in label order."""
         found = self._moves.get(mask)
         if found is None:
-            bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            bits = _bits(mask)
             found = []
             for label, row in self._succ:
                 nxt = 0
@@ -152,6 +157,27 @@ class _StateSets:
                     found.append((label, nxt))
             found = self._moves[mask] = tuple(found)
         return found
+
+    def height(self, mask: int) -> int:
+        """The longest path out of any state of mask, on an acyclic system.
+        Every state a move reaches is one step along a path out of some
+        state of mask, so the height falls strictly along every move."""
+        found = self._heights.get(mask)
+        if found is None:
+            found = self._heights[mask] = max(
+                self._state_heights[i] for i in _bits(mask)
+            )
+        return found
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, one step per set bit."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _evaluate_core(
@@ -180,6 +206,15 @@ def _evaluate_core(
     bits, so a gap that passes K empties its row; core letter c then sets
     row c+1 to K+1 wherever row c was nonempty, in both halves at once.
 
+    When the system's reachable part is acyclic and k covers its longest
+    path, no word is longer than k, so no gap can pass k and the bounded
+    search is complete.  A row then stays set once entered, except row 0,
+    which every letter empties, and the gaps carry nothing: the positions
+    are m+1 bits, bit c saying that row c is nonempty, a letter clears
+    bit 0 and core letter c sets bit c+1 wherever bit c is set.  The sets
+    at k and at k+1 are the same, so there is one of them and nothing is
+    truncated.  This is decided from the system, whatever `exact` says.
+
     A node is a function of the word, so every word follows exactly one
     path.  A word reaches the same states whatever the bound and the
     universe at k lies inside the one at k+1, so the bound is truncating
@@ -194,27 +229,35 @@ def _evaluate_core(
     always escapes the effect by construction of the verdict.
     """
     m = len(labels)
-    k_next = k if exact else k + 1
-    B = (k_next + 1).bit_length()
-    width = B + 1
-    high = (m + 1) * width
-    field = (1 << B) - 1
-    half = ((1 << high) - 1) // ((1 << width) - 1)  # bit 0 of each field of a half
-    ones = half | half << high
-    guards = ones << B
-    values = ones * field
-    fresh = (k + 1) * half | (k_next + 1) * half << high  # gap 0 in every row
-    accepting, accepting_next = field, field << high
-    # per label, the rows c whose core letter it is, in both halves
+    gapless = space.longest is not None and k >= space.longest
+    # per label, the rows c whose core letter it is
     advance: dict[str, int] = {}
-    for c, label in enumerate(labels):
-        row = (field | field << high) << ((m - c) * width)
-        advance[label] = advance.get(label, 0) | row
+    if gapless:
+        for c, label in enumerate(labels):
+            advance[label] = advance.get(label, 0) | 1 << c
+        accepting = accepting_next = 1 << m
+        start = 1
+    else:
+        k_next = k if exact else k + 1
+        B = (k_next + 1).bit_length()
+        width = B + 1
+        high = (m + 1) * width
+        field = (1 << B) - 1
+        half = ((1 << high) - 1) // ((1 << width) - 1)  # bit 0 of each field of a half
+        ones = half | half << high
+        guards = ones << B
+        values = ones * field
+        fresh = (k + 1) * half | (k_next + 1) * half << high  # gap 0 in every row
+        accepting, accepting_next = field, field << high
+        for c, label in enumerate(labels):
+            row = (field | field << high) << ((m - c) * width)
+            advance[label] = advance.get(label, 0) | row
+        start = (1 | 1 << high) << (m * width)
 
     # each node is numbered when first found; its children and kill flag
     # are kept in lists under that number
     sat = space.sat
-    root = (space.initial, (1 | 1 << high) << (m * width), 0)
+    root = (space.initial, start, 0)
     index = {root: 0}
     edges: list[list] = [[]]
     kill_flags = [False]
@@ -235,15 +278,21 @@ def _evaluate_core(
             truncated = True
         out = edges[i]
         longer = min(length + 1, m + 1)
-        # every gap grows: each nonzero field loses one
-        grown = positions - (((positions + values) & guards) >> B)
+        if gapless:
+            grown = positions & ~1
+        else:
+            # every gap grows: each nonzero field loses one
+            grown = positions - (((positions + values) & guards) >> B)
         for label, nxt in space.moves(reached):
-            nxt_positions = grown
-            # a core letter moves row c to gap 0 in row c+1, one field lower
             moved = positions & advance.get(label, 0)
-            if moved:
+            if gapless:
+                nxt_positions = grown | moved << 1
+            elif moved:
+                # a core letter moves row c to gap 0 in row c+1, one field lower
                 rows = (((moved + values) & guards) >> (B + width)) * field
-                nxt_positions = nxt_positions & ~rows | fresh & rows
+                nxt_positions = grown & ~rows | fresh & rows
+            else:
+                nxt_positions = grown
             if not nxt_positions:
                 continue
             child = (nxt, nxt_positions, longer)
@@ -254,13 +303,18 @@ def _evaluate_core(
                 kill_flags.append(False)
                 stack.append((*child, j))
 
-    # children before parents, by the positions int itself: its highest
-    # nonzero field is the lowest nonempty row at k+1 (the set at k lies
-    # inside that at k+1), and an edge lowers that field or empties it and
-    # sets rows only in lower fields, so the int strictly falls along every
-    # edge.  No separate key is needed.
-    order = sorted(range(len(edges)), key=[key[1] for key in index].__getitem__)
-    del index
+    # children before parents.  Gapless, by the reached set's height, which
+    # falls along every edge of an acyclic system.  Otherwise by the
+    # positions int itself: its highest nonzero field is the lowest
+    # nonempty row at k+1 (the set at k lies inside that at k+1), and an
+    # edge lowers that field or empties it and sets rows only in lower
+    # fields, so the int strictly falls along every edge.
+    if gapless:
+        key = [space.height(node[0]) for node in index]
+    else:
+        key = [node[1] for node in index]
+    order = sorted(range(len(edges)), key=key.__getitem__)
+    del index, key
     # Each productive node (a kill node, or one with a productive child) is
     # renumbered and kept as (kill flag, path count, productive children as
     # (label, number) pairs).  Those tuples hold only str and int, so the
@@ -415,16 +469,6 @@ def cause_candidate(
     )
 
 
-def _is_proper_subsequence(shorter: Word, longer: Word) -> bool:
-    if len(shorter) >= len(longer):
-        return False
-    i = 0
-    for letter in longer:
-        if i < len(shorter) and shorter[i] == letter:
-            i += 1
-    return i == len(shorter)
-
-
 def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     """All minimal causes of the effect, explored up to bound k.
 
@@ -462,15 +506,8 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
 
     level: list[tuple[tuple, Word]] = [((lts.initial,), ())]
     for _ in range(k):
-        grown: list[tuple[tuple, Word]] = []
-        for states, labels in level:
-            for label, dst in lts.outgoing(states[-1]):
-                grown.append((states + (dst,), labels + (label,)))
-        survivors: list[tuple[tuple, Word]] = []
-        for states, labels in grown:
-            if any(_is_proper_subsequence(w, labels) for w in successful_words):
-                continue
-            survivors.append((states, labels))
+        survivors = _extend_level(lts, level, successful_words)
+        for states, labels in survivors:
             if states[-1] not in sat:
                 continue
             # AC2(a) holds here: the initial state itself escapes the effect.
@@ -492,6 +529,35 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
 
     accepted.sort(key=CauseReport.sort_key)
     return CauseSet(tuple(accepted), ctx, k, exactness, immediate=False)
+
+
+def _extend_level(lts: Lts, level: list, successful: set) -> list:
+    """The one-letter extensions of a level's cores that have no successful
+    proper subsequence, in level order.
+
+    A core p of the level has no successful proper subsequence itself, so
+    one of p·a either is p or, failing to embed in p, ends in a with the
+    rest embedding in p.  The successful words are split by their last
+    letter once, before any core of the level is extended, so a label word
+    that nondeterminism repeats within a level is extended alike each time.
+    """
+    shorter: dict[str, list[Word]] = {}
+    for word in successful:
+        shorter.setdefault(word[-1], []).append(word[:-1])
+    grown = []
+    for states, labels in level:
+        if labels in successful:
+            continue
+        for label, dst in lts.outgoing(states[-1]):
+            if not any(_embeds(rest, labels) for rest in shorter.get(label, ())):
+                grown.append((states + (dst,), labels + (label,)))
+    return grown
+
+
+def _embeds(short: Word, word: Word) -> bool:
+    """Whether short is a subsequence of word."""
+    rest = iter(word)
+    return all(letter in rest for letter in short)
 
 
 def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:

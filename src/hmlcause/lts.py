@@ -46,9 +46,10 @@ class Lts:
     alphabet and a set of labeled transitions.
 
     The alphabet may strictly contain the labels used by transitions; the
-    converse is an error.  Construction validates every field; the successor
-    index is built on the first traversal, so a system that is only compared
-    or hashed never pays for it.
+    converse is an error.  Construction validates every field.  The
+    successor index, the reachable states and the heights of the reachable
+    states are each computed on first use and kept on the system, so a
+    system that is only compared or hashed never pays for them.
     """
 
     states: frozenset
@@ -69,6 +70,8 @@ class Lts:
                 raise ValueError(f"transition label {label!r} not in alphabet")
         # an attribute added after construction costs a dict per instance
         object.__setattr__(self, "_out", None)
+        object.__setattr__(self, "_reachable", None)
+        object.__setattr__(self, "_heights", None)
 
     def successors(self, s: State, label: str) -> frozenset:
         return frozenset(dst for name, dst in self.outgoing(s) if name == label)
@@ -131,7 +134,11 @@ def _walk(lts: Lts) -> dict:
 
 def reachable_states(lts: Lts) -> frozenset:
     """All states reachable from the initial state by any word."""
-    return frozenset(_walk(lts))
+    found = lts._reachable
+    if found is None:
+        found = frozenset(_walk(lts))
+        object.__setattr__(lts, "_reachable", found)
+    return found
 
 
 def subwords(word: Word) -> frozenset:
@@ -232,26 +239,43 @@ def is_acyclic(lts: Lts) -> bool:
 
 def longest_acyclic_path(lts: Lts) -> Optional[int]:
     """Transition count of the longest path in the reachable part, or None
-    when the reachable part contains a cycle."""
+    when the reachable part contains a cycle.  Every path there extends
+    back to the initial state, so that is the initial state's height."""
+    return _state_heights(lts).get(lts.initial)
+
+
+def _state_heights(lts: Lts) -> dict:
+    """Each reachable state from which no cycle is reachable, mapped to the
+    transition count of the longest path out of it."""
+    found = lts._heights
+    if found is None:
+        found = _settle(lts)
+        object.__setattr__(lts, "_heights", found)
+    return found
+
+
+def _settle(lts: Lts) -> dict:
     keep = reachable_states(lts)
-    indegree = dict.fromkeys(keep, 0)
+    before: dict[State, list] = {s: [] for s in keep}
+    waiting = {}
     for s in keep:
-        for _, dst in lts.outgoing(s):
-            indegree[dst] += 1
-    # Kahn's order: a state is dequeued once all its predecessors are, so
-    # the states left over are exactly those on or behind a cycle
-    depth = dict.fromkeys(keep, 0)
-    queue = deque(s for s in keep if not indegree[s])
-    dequeued = 0
-    while queue:
-        s = queue.popleft()
-        dequeued += 1
-        for _, dst in lts.outgoing(s):
-            depth[dst] = max(depth[dst], depth[s] + 1)
-            indegree[dst] -= 1
-            if not indegree[dst]:
-                queue.append(dst)
-    return max(depth.values()) if dequeued == len(keep) else None
+        out = lts.outgoing(s)
+        waiting[s] = len(out)
+        for _, dst in out:
+            before[dst].append(s)
+    # Kahn's order backwards: a state is settled once all its successors
+    # are, so the states left over are exactly those on or before a cycle,
+    # the initial state among them when there is one
+    heights = {}
+    ready = [s for s in keep if not waiting[s]]
+    while ready:
+        s = ready.pop()
+        heights[s] = max((heights[dst] + 1 for _, dst in lts.outgoing(s)), default=0)
+        for src in before[s]:
+            waiting[src] -= 1
+            if not waiting[src]:
+                ready.append(src)
+    return heights
 
 
 # ---------------------------------------------------------------------------

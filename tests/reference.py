@@ -15,7 +15,9 @@
   their spelling, with its own satisfaction map built with `satisfies`.
 - `validate_computation`, the paper's definition of a computation checked
   requirement by requirement, which the oracle's validity flags must match.
-- `sub_cores`, every core below a given one, as the minimality reference.
+- `sub_cores`, every core below a given one, as the minimality reference,
+  and `is_proper_subsequence`, the pairwise test that the core loop's
+  pruning by last letter is held to.
 - `traces`, the (label, extension list) pairs form of `computation_traces`.
 - `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
 - `brute_isomorphic`, a search over every bijection of the reachable parts,
@@ -351,6 +353,16 @@ def sub_cores(lts: Lts, core: Core) -> frozenset:
         for path in _paths_for_word(lts, core.first, word):
             result.add(Core(path, word))
     return frozenset(result)
+
+
+def is_proper_subsequence(shorter: Word, longer: Word) -> bool:
+    if len(shorter) >= len(longer):
+        return False
+    i = 0
+    for letter in longer:
+        if i < len(shorter) and shorter[i] == letter:
+            i += 1
+    return i == len(shorter)
 
 
 def brute_longest_acyclic_path(lts: Lts) -> Optional[int]:

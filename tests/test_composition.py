@@ -212,31 +212,52 @@ def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
     ]
 
 
-def test_the_shape_dag_keeps_one_position_per_consumed_count(monkeypatch):
-    # the explore loop reads the moves of each DAG node once; with every
-    # gap of a consumed count kept, the "both effects" cores at bound 4
-    # build 70,380 nodes, and with only the smallest one 19,123
+def _count_dag_nodes(monkeypatch) -> list:
+    """Count, in the returned list's one entry, the DAG nodes that the cause
+    sets computed from here on build.  The explore loop reads the moves of
+    each node once, and the cause-set cache is bypassed."""
     moves = causality._StateSets.moves
-    calls = 0
+    calls = [0]
 
     def counted(self, mask):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return moves(self, mask)
 
     monkeypatch.setattr(causality._StateSets, "moves", counted)
-    # past the cause-set cache, so the DAGs are built here
     monkeypatch.setattr(
         causality, "_causes_cached", causality._causes_cached.__wrapped__
     )
+    return calls
+
+
+def test_the_shape_dag_keeps_one_position_per_consumed_count(monkeypatch):
+    # with every gap of a consumed count kept, the "both effects" cores at
+    # bound 4 build 70,380 nodes, and with only the smallest one 19,123
+    calls = _count_dag_nodes(monkeypatch)
     left, right = cyclic_pair()
     both = EffectContext(
         interleave(left.lts, right.lts), And(left.formula, right.formula)
     )
     found = causes(both, 4).causes
-    assert calls < 20_000
+    assert calls[0] < 20_000
     assert len(found) == 6
     assert sum(len(r.kill_traces) for r in found) == 24_347_733
+
+
+def test_the_shape_dag_keeps_no_gap_at_an_exact_bound(monkeypatch):
+    # the product of corpus instance 3 is acyclic and its bound 8 covers its
+    # longest path, so no gap can pass the bound.  With gap values in the
+    # node key its "either effect" cores build 667 nodes, and with one bit
+    # per consumed count 166
+    calls = _count_dag_nodes(monkeypatch)
+    inst = list(corpus(4, seed=7))[3]
+    product = interleave(inst.left.lts, inst.right.lts)
+    either = EffectContext(product, Or(inst.left.formula, inst.right.formula))
+    assert causality.exploration_is_exact(product, inst.bound)
+    found = causes(either, inst.bound).causes
+    assert calls[0] < 300
+    assert len(found) == 4
+    assert sum(len(r.kill_traces) for r in found) == 25
 
 
 def test_cli_verifies_the_conjunction_law_on_the_cyclic_pair(tmp_path, capsys):

@@ -29,6 +29,7 @@ from hmlcause import (
     format_state,
     longest_acyclic_path,
     make_lts,
+    reachable_states,
     oracle_check_cause,
     oracle_check_details,
     parse_aut,
@@ -40,6 +41,7 @@ from hmlcause.causality import (
     KillSet,
     _admits_candidate,
     _evaluate_core,
+    _extend_level,
     _oracle_view,
     _OracleView,
     _StateSets,
@@ -50,6 +52,7 @@ from helpers import cyclic_pair
 from reference import (
     brute_isomorphic,
     brute_longest_acyclic_path,
+    is_proper_subsequence,
     reach,
     satisfies,
     searched_interleave,
@@ -257,12 +260,15 @@ def _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores):
     # the least state set that holds what the core word reaches and that
     # each word reaches only inside or only outside of.  x stays outside
     # (a word ending in e reaches x alone), so every executable core is
-    # clean at k and its word followed by e is a kill
+    # clean at k and its word followed by e is a kill.  Returns how many
+    # cores were judged
     lts = _with_an_escape(drawn)
+    judged = 0
     for labels in cores:
         universe = shaped_words(lts, labels, k)
         if labels not in universe:
             continue
+        judged += 1
         effect = _effect_around_the_core(universe, labels)
         universe_next = shaped_words(lts, labels, k + 1)
         probes = _probes(universe_next, labels)
@@ -275,6 +281,7 @@ def _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores):
             assert labels + ("e",) in reference[0]
             _assert_same_kills_and_lists(evaluated, reference, probes)
             assert evaluated == reference
+    return judged
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -417,6 +424,118 @@ def test_kernel_numbers_the_productive_dag_children_first(system, picks, k):
         size = len(kill)
         assert size == len(set(kill)) == len(escaping)
         assert kill == escaping
+
+
+def _acyclic(drawn: Lts) -> Lts:
+    """The drawn system without the edges out of reachable states that do
+    not lead to a higher-numbered state, so its reachable part is acyclic,
+    and with a two-state cycle that enters it only from outside."""
+    reachable = reachable_states(drawn)
+    kept = [
+        (src, label, dst)
+        for src, label, dst in drawn.transitions
+        if src not in reachable or int(src[1:]) < int(dst[1:])
+    ]
+    cycle = [("u0", "a", "u1"), ("u1", "b", "u0"), ("u1", "a", drawn.initial)]
+    return make_lts(
+        drawn.initial,
+        kept + cycle,
+        extra_labels=drawn.alphabet,
+        extra_states=drawn.states,
+    )
+
+
+def test_kernel_matches_the_reference_at_and_just_below_the_exact_bound(
+    monkeypatch,
+):
+    # at k = the longest path the kernel keeps no gaps and orders its DAG
+    # by the heights of the reached sets; at one less it keeps gap fields.
+    # Only the first reads heights, and the draws must judge cores with both
+    heights = _StateSets.height
+    reads = []
+
+    def counted(self, mask):
+        reads.append(mask)
+        return heights(self, mask)
+
+    monkeypatch.setattr(_StateSets, "height", counted)
+    judged_at = {True: 0, False: 0}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system=_systems())
+    def check(system):
+        drawn = _acyclic(system[0])
+        longest = longest_acyclic_path(_with_an_escape(drawn))
+        alphabet = sorted(drawn.alphabet)
+        cores = [*itertools.product(alphabet, repeat=1)]
+        cores += itertools.product(alphabet, repeat=2)
+        for k in (longest - 1, longest):
+            reads.clear()
+            judged = _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores)
+            if judged:
+                judged_at[k == longest] += judged
+                assert bool(reads) == (k == longest)
+
+    check()
+    assert judged_at[True] and judged_at[False]
+
+
+def test_kernel_judges_a_long_chain_at_its_exact_bound():
+    # 5,000 states in a row: the heights and the DAG order must come out
+    # without recursion.  The word-level reference would spell 12.5 million
+    # letters here, so the result is given in closed form: the effect holds
+    # everywhere but at the end, so the one kill word is the whole chain
+    n = 5000
+    lts = make_lts(0, [(i, "a", i + 1) for i in range(n)])
+    space = _StateSets(lts, frozenset(range(n)))
+    assert space.height(space.initial) == space.longest == n
+    for exact in (True, False):
+        kill, dlists, truncated = _evaluate_core(space, ("a",), n, exact)
+        assert len(kill) == 1 and not truncated
+        assert set(kill) == {("a",) * n}
+        assert dlists == ((("a",) * (n - 1),),)
+
+
+# a label word repeated within a level, by nondeterminism, both when its
+# copies succeed and when only their extensions do
+@example(
+    system=(
+        make_lts(
+            "s0",
+            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s3"), ("s2", "b", "s3")],
+        ),
+        frozenset({"s1", "s2"}),
+    )
+)
+@example(
+    system=(
+        make_lts(
+            "s0",
+            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "s3"), ("s2", "b", "s3")],
+        ),
+        frozenset({"s3"}),
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_systems("ab"))
+def test_pruning_by_last_letter_matches_proper_subsequences(system):
+    # the core loop's levels, grown by `_extend_level` and by testing every
+    # extension against every successful word; a core counts as successful
+    # when its path ends in the drawn state set
+    lts, ends = system
+    level, successful = [((lts.initial,), ())], set()
+    for _ in range(5):
+        grown = _extend_level(lts, level, successful)
+        assert grown == [
+            (states + (dst,), labels + (label,))
+            for states, labels in level
+            for label, dst in lts.outgoing(states[-1])
+            if not any(
+                is_proper_subsequence(word, labels + (label,)) for word in successful
+            )
+        ]
+        successful.update(labels for states, labels in grown if states[-1] in ends)
+        level = grown
 
 
 # ---------------------------------------------------------------- oracle

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import init_actions, seeded_lts, w, words
-from reference import project_word, reach
+from reference import brute_longest_acyclic_path, project_word, reach
 from hmlcause import (
     AutParseError,
     CHOICE_INITIAL,
@@ -19,19 +19,26 @@ from hmlcause import (
     Lts,
     causes,
     choice,
+    cross_check_disjunction_lifting,
+    cross_check_single_component,
     emit_aut,
     emit_dot,
     interleave,
     is_acyclic,
     longest_acyclic_path,
     make_lts,
+    oracle_check_cause,
     parse_aut,
     parse_formula,
     reachable_states,
     restrict_to_reachable,
     subwords,
+    verify_conjunction_theorem,
+    verify_disjunction_theorem,
 )
-from hmlcause.testkit import fixtures
+from hmlcause import causality
+from hmlcause import lts as lts_module
+from hmlcause.testkit import corpus, fixtures
 
 FIX = fixtures()
 
@@ -225,6 +232,43 @@ def test_longest_acyclic_path_leaves_the_recursion_limit_alone(monkeypatch):
     chain = make_lts(0, [(i, "a", i + 1) for i in range(5000)])
     assert longest_acyclic_path(chain) == 5000
     assert sys.getrecursionlimit() == limit
+
+
+def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
+    # the laws, the lemmas and the oracle ask each system, component or
+    # product, for its reachable states and its longest path many times
+    seen: list = []
+    counts: dict = {}
+
+    def counting(name, compute):
+        def counted(lts):
+            if not any(lts is system for system in seen):
+                seen.append(lts)
+            counts[name, id(lts)] = counts.get((name, id(lts)), 0) + 1
+            return compute(lts)
+
+        return counted
+
+    monkeypatch.setattr(lts_module, "_walk", counting("walk", lts_module._walk))
+    monkeypatch.setattr(lts_module, "_settle", counting("settle", lts_module._settle))
+    monkeypatch.setattr(
+        causality, "_causes_cached", causality._causes_cached.__wrapped__
+    )
+    inst = list(corpus(1, seed=7))[0]
+    left, right, k = inst.left, inst.right, inst.bound
+    for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
+        verify(left, right, k)
+    for check in (cross_check_disjunction_lifting, cross_check_single_component):
+        check(left, right, k)
+    product = interleave(left.lts, right.lts)
+    for ctx in (left, right, EffectContext(product, left.formula)):
+        for report in causes(ctx, k).causes:
+            assert oracle_check_cause(ctx, report.computation, k)
+    assert any(system is product for system in seen)
+    assert any(system is left.lts for system in seen)
+    assert set(counts.values()) == {1}
+    for system in seen:
+        assert longest_acyclic_path(system) == brute_longest_acyclic_path(system)
 
 
 def test_restrict_to_reachable_drops_orphans():
