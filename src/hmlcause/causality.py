@@ -13,6 +13,7 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from typing import AbstractSet, Optional
 
 from .computation import (
@@ -64,9 +65,6 @@ class ConditionReport:
 class CauseReport:
     computation: Computation
     kill_traces: AbstractSet[Word]
-
-    def sort_key(self):
-        return self.computation.core.sort_key()
 
     def to_json(self) -> dict:
         return {
@@ -120,7 +118,9 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
 
 class _StateSets:
     """One system's states numbered once, state sets as int bitmasks, and
-    the one-letter moves out of each set and its height memoised per set.
+    the one-letter moves out of each set and its height memoised per set,
+    and the states that can still finish a core and leave the effect
+    memoised per core suffix.
 
     An instance lives for one `causes` or `cause_candidate` call and is
     shared by every core that call judges.  It is never stored on the Lts,
@@ -130,13 +130,18 @@ class _StateSets:
     def __init__(self, lts: Lts, sat: frozenset) -> None:
         index = {s: i for i, s in enumerate(lts.states)}
         succ: dict[str, list[int]] = {}
+        self._into: list[list[int]] = [[] for _ in index]
         for src, label, dst in lts.transitions:
             row = succ.setdefault(label, [0] * len(index))
             row[index[src]] |= 1 << index[dst]
+            self._into[index[dst]].append(index[src])
+        self._rows = succ
         self._succ = sorted(succ.items())
         self._moves: dict[int, tuple] = {}
         self.initial = 1 << index[lts.initial]
         self.sat = sum(1 << index[s] for s in sat)
+        self.reachable = sum(1 << index[s] for s in reachable_states(lts))
+        self._live: dict[Word, int] = {}
         self.longest = longest_acyclic_path(lts)
         heights = _state_heights(lts)
         self._state_heights = [heights.get(s, 0) for s in index]
@@ -169,6 +174,43 @@ class _StateSets:
             )
         return found
 
+    def live(self, word: Word) -> list[int]:
+        """Entry t: the states from which some path whose labels embed
+        word[t:] in order ends outside the effect.  The last entry holds
+        the states that can leave the effect, and each entry lies inside
+        the next.  An entry is memoised per suffix; a new one is the
+        predecessors under word[t] of entry t+1, closed under predecessors,
+        so one pass over the label's successor sets and one backward
+        search."""
+        memo = self._live
+        if not memo:
+            memo[()] = self._reaching(((1 << len(self._into)) - 1) & ~self.sat)
+        m = len(word)
+        t = m
+        while t and word[t - 1 :] in memo:
+            t -= 1
+        rows = [memo[word[u:]] for u in range(m, t - 1, -1)]
+        for u in range(t - 1, -1, -1):
+            before = 0
+            for i, row in enumerate(self._rows.get(word[u], ())):
+                if row & rows[-1]:
+                    before |= 1 << i
+            rows.append(self._reaching(before))
+            memo[word[u:]] = rows[-1]
+        rows.reverse()
+        return rows
+
+    def _reaching(self, mask: int) -> int:
+        """mask and every state with a path into it."""
+        stack = _bits(mask)
+        into = self._into
+        while stack:
+            for i in into[stack.pop()]:
+                if not mask >> i & 1:
+                    mask |= 1 << i
+                    stack.append(i)
+        return mask
+
 
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of mask, one step per set bit."""
@@ -180,9 +222,7 @@ def _bits(mask: int) -> list[int]:
     return bits
 
 
-def _evaluate_core(
-    space: _StateSets, labels: Word, k: int, exact: bool
-) -> Optional[tuple]:
+def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     """Judge one label word at bound k: None when AC2(b) fails, otherwise
     (kill, dlists, truncated).  On a bound that is not exact, truncated says
     whether the verdict or the kill set changes at k+1.
@@ -213,7 +253,19 @@ def _evaluate_core(
     are m+1 bits, bit c saying that row c is nonempty, a letter clears
     bit 0 and core letter c sets bit c+1 wherever bit c is set.  The sets
     at k and at k+1 are the same, so there is one of them and nothing is
-    truncated.  This is decided from the system, whatever `exact` says.
+    truncated.  This is decided from the system.
+
+    Only the live part of the DAG is explored.  Every node that counts (a
+    kill node, a straddling accepted one, the core word's own node or a
+    truncation witness) is accepted at k+1 and reaches a state outside the
+    effect.  So a node on the way to one reaches a state from which the
+    rest of the word, which embeds the core letters its most-consumed row
+    at k+1 still misses, leads outside the effect: a state of that row's
+    live mask (`_StateSets.live`).  A child that reaches none is dropped
+    unexplored.  Nothing that counts is lost, so the verdict, the kill set,
+    the extension lists and the truncated flag are those of the whole DAG.
+    The test is skipped when the mask of row 1, the smallest of those a
+    child can use, holds every reachable state.
 
     A node is a function of the word, so every word follows exactly one
     path.  A word reaches the same states whatever the bound and the
@@ -230,6 +282,10 @@ def _evaluate_core(
     """
     m = len(labels)
     gapless = space.longest is not None and k >= space.longest
+    # every child has consumed the first core letter, so its most-consumed
+    # row c is at least 1 and live[c-1] is its mask
+    live = space.live(labels[1:])
+    prune = m and live[0] & space.reachable != space.reachable
     # per label, the rows c whose core letter it is
     advance: dict[str, int] = {}
     if gapless:
@@ -237,9 +293,10 @@ def _evaluate_core(
             advance[label] = advance.get(label, 0) | 1 << c
         accepting = accepting_next = 1 << m
         start = 1
+        # the most-consumed row is the highest set bit
+        shift, live_at = 0, [0, *live]
     else:
-        k_next = k if exact else k + 1
-        B = (k_next + 1).bit_length()
+        B = (k + 2).bit_length()
         width = B + 1
         high = (m + 1) * width
         field = (1 << B) - 1
@@ -247,12 +304,15 @@ def _evaluate_core(
         ones = half | half << high
         guards = ones << B
         values = ones * field
-        fresh = (k + 1) * half | (k_next + 1) * half << high  # gap 0 in every row
+        fresh = (k + 1) * half | (k + 2) * half << high  # gap 0 in every row
         accepting, accepting_next = field, field << high
         for c, label in enumerate(labels):
             row = (field | field << high) << ((m - c) * width)
             advance[label] = advance.get(label, 0) | row
         start = (1 | 1 << high) << (m * width)
+        # the most-consumed row at k+1 is the lowest nonzero field of the
+        # high half, found from its lowest set bit
+        shift, live_at = high, [live[m - 1 - bit // width] for bit in range(m * width)]
 
     # each node is numbered when first found; its children and kill flag
     # are kept in lists under that number
@@ -295,6 +355,10 @@ def _evaluate_core(
                 nxt_positions = grown
             if not nxt_positions:
                 continue
+            if prune:
+                top = nxt_positions >> shift
+                if not nxt & live_at[(top if gapless else top & -top).bit_length() - 1]:
+                    continue
             child = (nxt, nxt_positions, longer)
             j = index.setdefault(child, len(edges))
             out.append((label, j))
@@ -457,9 +521,7 @@ def cause_candidate(
         return None, ConditionReport(ac1=False)
     if not reachable_states(lts) - sat:
         return None, ConditionReport(ac1=True, ac2a=False)
-    evaluated = _evaluate_core(
-        _StateSets(lts, sat), core.labels, k, exploration_is_exact(lts, k)
-    )
+    evaluated = _evaluate_core(_StateSets(lts, sat), core.labels, k)
     if evaluated is None:
         return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
     _, dlists, truncated = evaluated
@@ -512,7 +574,7 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
                 continue
             # AC2(a) holds here: the initial state itself escapes the effect.
             if labels not in evaluated:
-                evaluated[labels] = _evaluate_core(space, labels, k, exact)
+                evaluated[labels] = _evaluate_core(space, labels, k)
             if evaluated[labels] is None:
                 continue
             kill, dlists, truncated = evaluated[labels]
@@ -527,8 +589,21 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
             break
         level = survivors
 
-    accepted.sort(key=CauseReport.sort_key)
-    return CauseSet(tuple(accepted), ctx, k, exactness, immediate=False)
+    return CauseSet(_in_order(accepted), ctx, k, exactness, immediate=False)
+
+
+def _in_order(reports: list) -> tuple:
+    """The reports by label word, and those whose cores share a word by
+    their formatted states.  Only nondeterminism makes two cores share a
+    word, so only those cores' states are formatted."""
+    reports.sort(key=lambda r: r.computation.labels)
+    ordered = []
+    for _, same in groupby(reports, key=lambda r: r.computation.labels):
+        same = list(same)
+        if len(same) > 1:
+            same.sort(key=lambda r: tuple(map(format_state, r.computation.states)))
+        ordered += same
+    return tuple(ordered)
 
 
 def _extend_level(lts: Lts, level: list, successful: set) -> list:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lts import State, Word, format_state
+from .lts import State, Word
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class Core:
     @property
     def final(self) -> State:
         return self.states[-1]
-
-    def sort_key(self):
-        return (self.labels, tuple(format_state(s) for s in self.states))
 
 
 @dataclass(frozen=True)

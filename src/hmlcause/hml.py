@@ -293,12 +293,16 @@ def _evaluate(lts: Lts, f: Formula) -> frozenset:
         case Diamond(label, body):
             sat = _evaluate(lts, body)
             return frozenset(
-                s for s in lts.states if lts.successors(s, label) & sat
+                src
+                for src, name, dst in lts.transitions
+                if name == label and dst in sat
             )
         case Box(label, body):
             sat = _evaluate(lts, body)
-            return frozenset(
-                s for s in lts.states if lts.successors(s, label) <= sat
+            return frozenset(lts.states).difference(
+                src
+                for src, name, dst in lts.transitions
+                if name == label and dst not in sat
             )
         case Not(body):
             return frozenset(lts.states) - _evaluate(lts, body)

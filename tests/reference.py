@@ -20,6 +20,9 @@
   pruning by last letter is held to.
 - `traces`, the (label, extension list) pairs form of `computation_traces`.
 - `brute_longest_acyclic_path`, an exhaustive simple-path and cycle search.
+- `searched_live`, the states from which some path embeds a word and then
+  ends outside an effect, by a forward search from each state, which the
+  engine's backward passes (`_StateSets.live`) are held to.
 - `brute_isomorphic`, a search over every bijection of the reachable parts,
   which shows that a failing disjunction law fails beyond its renaming too.
 - `searched_interleave`, the interleaving found by a breadth-first search
@@ -394,6 +397,28 @@ def brute_longest_acyclic_path(lts: Lts) -> Optional[int]:
             path + (dst,) for src, dst in edges if src == path[-1] and dst not in path
         )
     return longest
+
+
+def searched_live(lts: Lts, sat: frozenset, word: Word) -> frozenset:
+    """The states from which some path whose labels embed word in order
+    ends outside sat.  From each state, a search over (state, letters of
+    word matched) pairs, each letter matched at its first chance, which
+    loses nothing for a subsequence."""
+    live = set()
+    for start in lts.states:
+        seen = {(start, 0)}
+        todo = [(start, 0)]
+        while todo:
+            s, matched = todo.pop()
+            if matched == len(word) and s not in sat:
+                live.add(start)
+                break
+            for label, dst in lts.outgoing(s):
+                pair = (dst, matched + (matched < len(word) and label == word[matched]))
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return frozenset(live)
 
 
 def brute_isomorphic(left: Lts, right: Lts) -> bool:

@@ -24,6 +24,7 @@ from hmlcause import (
     causes,
     default_bound,
     exploration_is_exact,
+    format_state,
     make_lts,
     oracle_check_cause,
     oracle_check_details,
@@ -198,6 +199,34 @@ def test_causes_two_step_core_on_both_branches():
     )
     # no single-step cause survives
     assert all(c.computation.labels != ("a",) for c in cause_set.causes)
+
+
+def test_causes_sharing_a_word_are_ordered_by_their_formatted_states():
+    # nondeterminism gives the core word a b two cores, which differ in
+    # their middle state.  Causes come by label word, then by formatted
+    # states, where "10" comes before "9"
+    lts = make_lts(
+        0,
+        [
+            (0, "a", 9),
+            (0, "a", 10),
+            (0, "c", 5),
+            (9, "b", 1),
+            (10, "b", 1),
+            (5, "b", 1),
+            (1, "d", 2),
+        ],
+    )
+    found = causes(EffectContext(lts, parse_formula("<d>tt")), 3).causes
+    cores = [(c.computation.labels, c.computation.states) for c in found]
+    assert cores == [
+        (("a", "b"), (0, 10, 1)),
+        (("a", "b"), (0, 9, 1)),
+        (("c", "b"), (0, 5, 1)),
+    ]
+    assert cores == sorted(
+        cores, key=lambda core: (core[0], tuple(map(format_state, core[1])))
+    )
 
 
 def test_causes_immediate_effect_without_escape():
