@@ -33,7 +33,6 @@ from .lts import (
     longest_acyclic_path,
     reachable_states,
     step,
-    subwords,
 )
 
 
@@ -660,10 +659,12 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # walking down that trie.  The walk carries a small dynamic program over
 # (consumed core letters, gap since the last one) and keeps only the smallest
 # gap per consumed count, since a smaller gap admits every continuation a
-# larger one does; a subtree where the program runs empty is skipped whole.
-# Traces are re-expanded entry by entry and looked up in the same trie, as
-# are the core's smaller label words.  The effect enters only as the set of
-# states satisfying it, which the tests hold to the definition.
+# larger one does; a subtree where the program runs empty, or too shallow to
+# spell the core letters still missing, is skipped whole.  Traces are
+# re-expanded entry by entry and looked up in the same trie.  The core's
+# smaller label words are the rows of a second walk, which keeps each row's
+# embedding into the core word.  The effect enters only as the set of states
+# satisfying it, which the tests hold to the definition.
 
 
 class _OracleView:
@@ -671,9 +672,11 @@ class _OracleView:
     path and a trie of its executable words.
 
     Trie rows are [last letter, reached states, index just past the row's
-    subtree] in depth-first order with letters sorted; row 0 is the empty
-    word.  The trie is rebuilt only when a deeper one is asked for, so row
-    indices hold until the next `shape_rows` call that needs more depth.
+    subtree, height] in depth-first order with letters sorted; row 0 is the
+    empty word.  A row's height is the most letters any word below it adds,
+    within the trie's depth.  The trie is rebuilt only when a deeper one is
+    asked for, so row indices hold until the next `shape_rows` call that
+    needs more depth.
     """
 
     def __init__(self, lts: Lts) -> None:
@@ -688,16 +691,25 @@ class _OracleView:
             return self.rows
         lts = self.lts
         rows: list[list] = []
-        ancestors: list[tuple[int, int]] = []  # (length, row) still open
+        # the rows still open, one per length; a closed row gives its parent
+        # its height
+        ancestors: list[list] = []
+
+        def close_to(length: int) -> None:
+            while len(ancestors) > length:
+                row = ancestors.pop()
+                row[2] = len(rows)
+                if ancestors and ancestors[-1][3] <= row[3]:
+                    ancestors[-1][3] = row[3] + 1
+
         # the one-letter moves of each reached set, so equal sets share them
         moves_of: dict[frozenset, list] = {}
         stack = [(None, frozenset({lts.initial}), 0)]
         while stack:
             letter, reached, length = stack.pop()
-            while ancestors and ancestors[-1][0] >= length:
-                rows[ancestors.pop()[1]][2] = len(rows)
-            ancestors.append((length, len(rows)))
-            rows.append([letter, reached, 0])
+            close_to(length)
+            ancestors.append([letter, reached, 0, 0])
+            rows.append(ancestors[-1])
             if length < depth:
                 found = moves_of.get(reached)
                 if found is None:
@@ -712,8 +724,7 @@ class _OracleView:
                     ]
                 for label, stepped in found:
                     stack.append((label, stepped, length + 1))
-        for _, i in ancestors:
-            rows[i][2] = len(rows)
+        close_to(0)
         self.rows, self._depth = rows, depth
         return rows
 
@@ -756,21 +767,58 @@ class _OracleView:
         stack = [(0, ((0, k),))]
         while stack:
             i, shape = stack.pop()
-            if shape[-1][0] == m:
+            top = shape[-1][0]
+            if top == m:
                 yield i
             child, end = i + 1, rows[i][2]
             while child < end:
-                letter, _, after = rows[child]
-                nxt: list[tuple[int, int]] = []
-                for consumed, gap in shape:
-                    # a (consumed, 0) added just before dominates this gap
-                    if gap < k and not (nxt and nxt[-1][0] == consumed):
-                        nxt.append((consumed, gap + 1))
-                    if consumed < m and letter == core_labels[consumed]:
-                        nxt.append((consumed + 1, 0))
-                if nxt:
-                    stack.append((child, tuple(nxt)))
+                letter, _, after, height = rows[child]
+                # a letter consumes at most one core letter, so a child whose
+                # subtree cannot spell the letters still missing yields nothing
+                if top + 1 + height >= m:
+                    nxt: list[tuple[int, int]] = []
+                    for consumed, gap in shape:
+                        # a (consumed, 0) added just before dominates this gap
+                        if gap < k and not (nxt and nxt[-1][0] == consumed):
+                            nxt.append((consumed, gap + 1))
+                        if consumed < m and letter == core_labels[consumed]:
+                            nxt.append((consumed + 1, 0))
+                    if nxt and nxt[-1][0] + height >= m:
+                        stack.append((child, tuple(nxt)))
                 child = after
+
+    def subword_rows(self, core_labels: Word):
+        """(row, word) for every executable proper subword of a core word,
+        from one walk down the trie grown for the core word's shape.
+
+        Each row is kept with its greedy embedding into the core word: the
+        shortest prefix of the core word that holds the row's word as a
+        subsequence.  A child takes its letter's next occurrence after that
+        prefix; a child whose letter has none is no subword, and neither is
+        any word below it.
+        """
+        m = len(core_labels)
+        if not m:
+            return
+        # the prefix each letter's next occurrence extends a prefix to
+        after: list[dict] = [{}]
+        for p in range(m - 1, -1, -1):
+            after.append({**after[-1], core_labels[p]: p + 1})
+        after.reverse()
+        rows = self.rows
+        stack = [(0, 0, ())]
+        while stack:
+            i, spanned, word = stack.pop()
+            yield i, word
+            if len(word) == m - 1:
+                continue  # any longer subword would be the core word itself
+            nexts = after[spanned]
+            child, end = i + 1, rows[i][2]
+            while child < end:
+                letter = rows[child][0]
+                if letter in nexts:
+                    stack.append((child, nexts[letter], word + (letter,)))
+                child = rows[child][2]
 
 
 @lru_cache(maxsize=8)
@@ -837,15 +885,10 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         if word != core_word
     )
 
-    ac3 = True
-    if details["ac2a"]:
-        for smaller in sorted(subwords(core_word)):
-            if view.lookup(smaller)[1].isdisjoint(sat):
-                continue
-            if _admits_candidate(view, sat, smaller, k):
-                ac3 = False
-                break
-    details["ac3"] = ac3
+    details["ac3"] = not details["ac2a"] or not any(
+        not rows[i][1].isdisjoint(sat) and _admits_candidate(view, sat, smaller, k)
+        for i, smaller in view.subword_rows(core_word)
+    )
     return details
 
 

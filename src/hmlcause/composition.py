@@ -235,6 +235,10 @@ def cross_check_single_component(
     if not pre.ok:
         return CrossCheckReport(False, "; ".join(pre.issues))
     ctx = EffectContext(composite, Or(left.formula, right.formula))
+    side_cores = {
+        name: {r.computation.labels for r in causes(side_ctx, k).causes}
+        for name, side_ctx in (("left", left), ("right", right))
+    }
     for report in causes(ctx, k).causes:
         labels = report.computation.labels
         sides = {
@@ -248,11 +252,7 @@ def cross_check_single_component(
         # corollary: the core, which is its own projection onto the moving
         # component's alphabet, is one of that component's own cause cores
         name = sides.pop()
-        side_ctx = left if name == "left" else right
-        side_cores = {
-            r.computation.labels for r in causes(side_ctx, k).causes
-        }
-        if labels not in side_cores:
+        if labels not in side_cores[name]:
             return CrossCheckReport(
                 False,
                 f"core {labels} projects to {labels}, which is not a "

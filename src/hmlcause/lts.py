@@ -49,7 +49,8 @@ class Lts:
     converse is an error.  Construction validates every field.  The
     successor index, the reachable states and the heights of the reachable
     states are each computed on first use and kept on the system, so a
-    system that is only compared or hashed never pays for them.
+    system that is only compared or hashed never pays for them.  So is the
+    last product it was interleaved into as the left component.
     """
 
     states: frozenset
@@ -72,6 +73,7 @@ class Lts:
         object.__setattr__(self, "_out", None)
         object.__setattr__(self, "_reachable", None)
         object.__setattr__(self, "_heights", None)
+        object.__setattr__(self, "_product", None)
 
     def successors(self, s: State, label: str) -> frozenset:
         return frozenset(dst for name, dst in self.outgoing(s) if name == label)
@@ -145,7 +147,8 @@ def subwords(word: Word) -> frozenset:
     """All words obtained by deleting at least one letter from word.
 
     Contains the empty word for any nonempty input and never contains the
-    input itself; the empty word has no subwords.
+    input itself; the empty word has no subwords.  A library utility: the
+    oracle finds the executable ones by walking its own trie instead.
     """
     result: set = set()
     n = len(word)
@@ -164,7 +167,17 @@ def interleave(left: Lts, right: Lts) -> Lts:
     pairs of reachable states, and each side's steps go with every reachable
     state of the other side.  A label shared by both alphabets moves either
     side nondeterministically.
+
+    The left component keeps its last product with the right component,
+    like its successor index: interleaving it again with the same or an
+    equal right component returns that product, so the caches keyed by the
+    product hit by identity.  Only the last is kept, so a component
+    interleaved with many others, as in counterexample shrinking, holds one
+    product at a time, and the product is freed with its left component.
     """
+    kept = left._product
+    if kept is not None and kept[0] == right:
+        return kept[1]
     lkeep = reachable_states(left)
     rkeep = reachable_states(right)
     transitions = {
@@ -178,12 +191,14 @@ def interleave(left: Lts, right: Lts) -> Lts:
         if r in rkeep
         for l in lkeep
     }
-    return Lts(
+    product = Lts(
         frozenset((l, r) for l in lkeep for r in rkeep),
         (left.initial, right.initial),
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
+    object.__setattr__(left, "_product", (right, product))
+    return product
 
 
 CHOICE_INITIAL = "+"

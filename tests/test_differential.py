@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hmlcause import (
+    And,
     Core,
     EffectContext,
     GenParams,
@@ -36,6 +37,7 @@ from hmlcause import (
     parse_formula,
     states_satisfying,
     step,
+    subwords,
     verify_disjunction_theorem,
 )
 from hmlcause.causality import (
@@ -48,7 +50,7 @@ from hmlcause.causality import (
     _StateSets,
 )
 from hmlcause.computation import computation_traces
-from hmlcause.testkit import fixtures
+from hmlcause.testkit import corpus, fixtures
 from helpers import cyclic_pair
 from reference import (
     brute_isomorphic,
@@ -664,6 +666,88 @@ def test_trie_lookup_equals_reach_up_to_two_letters_past_its_depth(system, m, k)
                 assert view.rows[row][1] == reached
 
 
+class _ReadRows(list):
+    """Trie rows that record the index of every row read."""
+
+    def __init__(self, rows: list) -> None:
+        super().__init__(rows)
+        self.read: set = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def _most_consumed(word: tuple, core_labels: tuple, k: int) -> Optional[int]:
+    """The most core letters a shape prefix can have consumed after word, by
+    the full (consumed, gap) program; None when word starts no shaped word."""
+    m = len(core_labels)
+    positions = {(0, k)}
+    for letter in word:
+        nxt = set()
+        for consumed, gap in positions:
+            if gap < k:
+                nxt.add((consumed, gap + 1))
+            if consumed < m and letter == core_labels[consumed]:
+                nxt.add((consumed + 1, 0))
+        positions = nxt
+    return max((consumed for consumed, _ in positions), default=None)
+
+
+def test_the_shape_walk_enters_no_row_too_shallow_to_finish_the_core():
+    # corpus instance 3's "both effects" cores have 6 letters and its product's
+    # longest path is its bound 8, so most subtrees are too shallow to spell
+    # the core letters still missing.  The walk reads the rows it enters and
+    # their children, and nothing else
+    inst = list(corpus(4, seed=7))[3]
+    k = inst.bound
+    both = EffectContext(
+        interleave(inst.left.lts, inst.right.lts),
+        And(inst.left.formula, inst.right.formula),
+    )
+    view = _OracleView(both.lts)
+    found = causes(both, k).causes
+    view.shape_rows(found[0].computation.labels, k)
+    rows = view.rows
+    spelled = [spell_row(rows, i) for i in range(len(rows))]
+    heights = [
+        max(len(word) for word in spelled[i : rows[i][2]]) - len(spelled[i])
+        for i in range(len(rows))
+    ]
+    assert [row[3] for row in rows] == heights
+    children = [
+        [j for j in range(i + 1, rows[i][2]) if len(spelled[j]) == len(spelled[i]) + 1]
+        for i in range(len(rows))
+    ]
+    entered = without_heights = 0
+    for report in found:
+        core = report.computation.labels
+        m = len(core)
+        read_rows = _ReadRows(rows)
+        walked = list(_OracleView._walk(read_rows, core, k))
+        assert walked == list(view.shape_rows(core, k))
+        consumed = [_most_consumed(word, core, k) for word in spelled]
+        expected = _entered_rows(children, consumed, heights, m)
+        assert read_rows.read == {0} | {j for i in expected for j in children[i]}
+        entered += len(expected)
+        without_heights += len(_entered_rows(children, consumed, heights, 0))
+    # without the height rule the walk enters 24,180 rows for these cores
+    assert (len(found), entered, without_heights) == (60, 4_641, 24_180)
+
+
+def _entered_rows(children: list, consumed: list, heights: list, m: int) -> set:
+    """The rows below which a shaped word can still spell m core letters,
+    reached from the root through such rows; m=0 keeps every row that
+    starts a shaped word."""
+    entered, stack = {0}, [0]
+    while stack:
+        for j in children[stack.pop()]:
+            if consumed[j] is not None and consumed[j] + heights[j] >= m:
+                entered.add(j)
+                stack.append(j)
+    return entered
+
+
 @st.composite
 def _contexts(draw, namespace="", max_states=5):
     """A generated system on at most max_states states that may have cycles,
@@ -706,6 +790,32 @@ def _contexts_with_an_exit(draw, namespace=""):
         lts.transitions | {(s, exit_label, dead_end) for s in gates},
     )
     return EffectContext(lts, parse_formula(f"<{exit_label}>tt"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    system=_systems(),
+    k=st.integers(0, 1),
+    longest=st.lists(st.sampled_from("abc"), min_size=4, max_size=4),
+)
+def test_the_subword_walk_yields_the_executable_proper_subwords(system, k, longest):
+    lts, _ = system
+    alphabet = sorted(lts.alphabet)
+    cores = [tuple(longest)] + [
+        labels for m in range(4) for labels in itertools.product(alphabet, repeat=m)
+    ]
+    view = _OracleView(lts)
+    # the longest core first grows the trie deeper than the later cores need
+    for labels in cores + cores[:1]:
+        view.shape_rows(labels, k)
+        walked = list(view.subword_rows(labels))
+        assert len({word for _, word in walked}) == len(walked)
+        for row, word in walked:
+            assert spell_row(view.rows, row) == word
+            assert view.rows[row][1] == reach(lts, lts.initial, word)
+        assert {word for _, word in walked} == {
+            word for word in subwords(labels) if reach(lts, lts.initial, word)
+        }
 
 
 def _path_cores(lts: Lts, k: int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hmlcause import (
     CHOICE_INITIAL,
     EffectContext,
     Lts,
+    causal_projection,
     causes,
     choice,
     cross_check_disjunction_lifting,
@@ -36,7 +38,7 @@ from hmlcause import (
     verify_conjunction_theorem,
     verify_disjunction_theorem,
 )
-from hmlcause import causality
+from hmlcause import causality, composition
 from hmlcause import lts as lts_module
 from hmlcause.testkit import corpus, fixtures
 
@@ -171,6 +173,73 @@ def test_interleave_reachable_count():
     t1 = FIX["t1"][0]
     copy = make_lts("x10", [("x10", "c", "x11"), ("x11", "k", "x12")])
     assert len(interleave(t1, copy).states) == 9
+
+
+def _copy(lts: Lts) -> Lts:
+    return Lts(lts.states, lts.initial, lts.alphabet, lts.transitions)
+
+
+def test_interleave_returns_the_product_it_built_for_the_pair():
+    left, right = FIX["fig3_t"][0], FIX["fig3_tp"][0]
+    assert interleave(left, right) is interleave(left, right)
+
+
+def test_interleave_of_equal_components_gives_equal_products():
+    left, right = _copy(FIX["fig3_t"][0]), _copy(FIX["fig3_tp"][0])
+    product = interleave(left, right)
+    # the product is kept on the left component with its right one, and an
+    # equal right component finds it
+    assert interleave(left, _copy(right)) is product
+    again = interleave(_copy(left), _copy(right))
+    assert again is not product
+    assert again == product
+
+
+def test_a_product_is_freed_with_its_left_component():
+    left, right = _copy(FIX["fig3_t"][0]), FIX["fig3_tp"][0]
+    product = weakref.ref(interleave(left, right))
+    gc.collect()
+    assert product() is not None
+    del left
+    gc.collect()
+    assert product() is None
+
+
+def test_a_component_keeps_only_its_last_product():
+    # shrinking a counterexample interleaves one component with many others
+    left = FIX["fig3_t"][0]
+    first = weakref.ref(interleave(left, _copy(FIX["fig3_tp"][0])))
+    interleave(left, FIX["t1"][0])
+    gc.collect()
+    assert first() is None
+
+
+def test_the_laws_and_lemmas_build_one_product_per_pair(monkeypatch):
+    # the pair's product, shared by the four checks, and the conjunction's
+    # product of the component projections
+    built: list = []
+
+    def recording(left, right):
+        product = interleave(left, right)
+        if not any(product is seen for seen in built):
+            built.append(product)
+        return product
+
+    monkeypatch.setattr(composition, "interleave", recording)
+    monkeypatch.setattr(
+        causality, "_causes_cached", causality._causes_cached.__wrapped__
+    )
+    inst = list(corpus(1, seed=7))[0]
+    left, right, k = inst.left, inst.right, inst.bound
+    for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
+        assert verify(left, right, k).verdict == "holds"
+    for check in (cross_check_disjunction_lifting, cross_check_single_component):
+        assert check(left, right, k).ok
+    assert len(built) == 2
+    assert built[0] is interleave(left.lts, right.lts)
+    assert built[1] == interleave(
+        causal_projection(left, k), causal_projection(right, k)
+    )
 
 
 def test_choice_initial_actions_union():
