@@ -401,26 +401,30 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
 
 def _spell(labels: Word, nodes: tuple, root: int) -> tuple[list, tuple]:
     """(kill words, extension lists) of a numbered productive DAG.  Depth
-    first in label order, so the kill words come out sorted; each path
-    carries where it matched the core letters, leftmost first, and a kill
-    word's entries are the word cut at those matches."""
+    first in label order, so the kill words come out sorted.  Every kill
+    word starts with the first core letter, the root's one child; each path
+    carries the entries its core letters, matched leftmost, have closed and
+    where its open entry starts, and a kill word's entries are those with
+    the open one appended."""
     m = len(labels)
     kill: list[Word] = []
     entries: list[tuple] = []
-    spell = [(root, (), ())]
+    spell = [(child, (label,), (), 1) for label, child in reversed(nodes[root][2])]
     while spell:
-        node, word, matched = spell.pop()
+        node, word, closed, start = spell.pop()
         is_kill, _, children = nodes[node]
         if is_kill:
-            cuts = matched + (len(word),)
             kill.append(word)
-            entries.append(tuple(word[cuts[t] + 1 : cuts[t + 1]] for t in range(m)))
+            entries.append(closed + (word[start:],))
+        wanted = labels[len(closed) + 1] if len(closed) + 1 < m else None
         for label, child in reversed(children):
-            if len(matched) < m and label == labels[len(matched)]:
-                spell.append((child, word + (label,), matched + (len(word),)))
+            longer = word + (label,)
+            if label == wanted:
+                spell.append((child, longer, closed + (word[start:],), len(longer)))
             else:
-                spell.append((child, word + (label,), matched))
-    return kill, tuple(tuple(gaps[t] for gaps in entries) for t in range(m))
+                spell.append((child, longer, closed, start))
+    # a productive DAG holds a kill word, so there are m lists
+    return kill, tuple(zip(*entries))
 
 
 class KillSet(Set):
@@ -655,16 +659,23 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 #
 # The checks below share no search machinery with the constructive path
 # above.  Words stay explicit: the executable words of a system are the rows
-# of one trie, kept per system, and the words of a core's shape are found by
-# walking down that trie.  The walk carries a small dynamic program over
-# (consumed core letters, gap since the last one) and keeps only the smallest
-# gap per consumed count, since a smaller gap admits every continuation a
-# larger one does; a subtree where the program runs empty, or too shallow to
-# spell the core letters still missing, is skipped whole.  Traces are
-# re-expanded entry by entry and looked up in the same trie.  The core's
-# smaller label words are the rows of a second walk, which keeps each row's
-# embedding into the core word.  The effect enters only as the set of states
-# satisfying it, which the tests hold to the definition.
+# of one trie, kept per system with a table from each word to its row, and
+# the words of a core's shape are found by walking down that trie.  When the
+# system is acyclic and the bound covers its longest path, no gap can pass
+# the bound, so a word has the shape exactly when it starts with the first
+# core letter and embeds the core: the walk carries one int, the count of
+# core letters a greedy leftmost match has consumed.  Otherwise it carries a
+# small dynamic program over (consumed core letters, gap since the last one)
+# and keeps only the smallest gap per consumed count, since a smaller gap
+# admits every continuation a larger one does.  Either walk skips a subtree
+# whole where the core can no longer be spelled (the walk runs empty, or the
+# subtree is too shallow for the letters still missing), and takes a subtree
+# whole, without reading its rows, where the core is consumed and no word
+# below can pass the bound.  Traces are re-expanded entry by entry and found
+# in the table.  The core's smaller label words are the rows of a second
+# walk, which keeps each row's embedding into the core word.  The effect
+# enters only as the set of states satisfying it, which the tests hold to
+# the definition.
 
 
 class _OracleView:
@@ -674,9 +685,9 @@ class _OracleView:
     Trie rows are [last letter, reached states, index just past the row's
     subtree, height] in depth-first order with letters sorted; row 0 is the
     empty word.  A row's height is the most letters any word below it adds,
-    within the trie's depth.  The trie is rebuilt only when a deeper one is
-    asked for, so row indices hold until the next `shape_rows` call that
-    needs more depth.
+    within the trie's depth.  `index` maps each word of the trie to its row.
+    The trie is rebuilt only when a deeper one is asked for, so row indices
+    hold until the next `shape_rows` call that needs more depth.
     """
 
     def __init__(self, lts: Lts) -> None:
@@ -684,6 +695,7 @@ class _OracleView:
         self.reachable = reachable_states(lts)
         self.longest = longest_acyclic_path(lts)
         self.rows: list[list] = []
+        self.index: dict[Word, int] = {}
         self._depth = -1
 
     def _trie(self, depth: int) -> list[list]:
@@ -691,6 +703,7 @@ class _OracleView:
             return self.rows
         lts = self.lts
         rows: list[list] = []
+        index: dict[Word, int] = {}
         # the rows still open, one per length; a closed row gives its parent
         # its height
         ancestors: list[list] = []
@@ -704,11 +717,13 @@ class _OracleView:
 
         # the one-letter moves of each reached set, so equal sets share them
         moves_of: dict[frozenset, list] = {}
-        stack = [(None, frozenset({lts.initial}), 0)]
+        stack: list[tuple[Word, frozenset]] = [((), frozenset({lts.initial}))]
         while stack:
-            letter, reached, length = stack.pop()
+            word, reached = stack.pop()
+            length = len(word)
             close_to(length)
-            ancestors.append([letter, reached, 0, 0])
+            ancestors.append([word[-1] if word else None, reached, 0, 0])
+            index[word] = len(rows)
             rows.append(ancestors[-1])
             if length < depth:
                 found = moves_of.get(reached)
@@ -723,29 +738,25 @@ class _OracleView:
                         for label in sorted(moves, reverse=True)
                     ]
                 for label, stepped in found:
-                    stack.append((label, stepped, length + 1))
+                    stack.append((word + (label,), stepped))
         close_to(0)
-        self.rows, self._depth = rows, depth
+        self.rows, self.index, self._depth = rows, index, depth
         return rows
 
     def lookup(self, word: Word) -> tuple[Optional[int], frozenset]:
         """The row of a word and the states it reaches.  A word longer than
-        the trie goes on from its deepest row with `step` and has no row; a
+        the trie goes on from its prefix's row with `step` and has no row; a
         word that is not executable has no row and reaches nothing."""
-        rows, i = self.rows, 0
-        for n, letter in enumerate(word):
-            if n == self._depth:
-                reached = rows[i][1]
-                for label in word[n:]:
-                    reached = step(self.lts, reached, label)
-                return None, reached
-            child, end = i + 1, rows[i][2]
-            while child < end and rows[child][0] != letter:
-                child = rows[child][2]
-            if child == end:
-                return None, frozenset()
-            i = child
-        return i, rows[i][1]
+        depth = self._depth
+        i = self.index.get(word[:depth])
+        if i is None:
+            return None, frozenset()
+        reached = self.rows[i][1]
+        if len(word) <= depth:
+            return i, reached
+        for label in word[depth:]:
+            reached = step(self.lts, reached, label)
+        return None, reached
 
     def shape_rows(self, core_labels: Word, k: int):
         """Grow the trie deep enough for this shape, then return an iterator
@@ -758,10 +769,40 @@ class _OracleView:
         if self.longest is not None:
             # nothing executes past the longest path
             depth = min(depth, self.longest)
+            if m and k >= self.longest:
+                return self._exact_walk(self._trie(depth), core_labels)
         return self._walk(self._trie(depth), core_labels, k)
 
     @staticmethod
+    def _exact_walk(rows: list[list], core_labels: Word):
+        """The shape walk at a bound no word can pass.  A row carries the
+        count of core letters its word consumes when they are matched
+        greedily leftmost, which finishes the core exactly when some match
+        does; the root enters only the first core letter."""
+        m = len(core_labels)
+        stack = [(0, 0)]
+        while stack:
+            i, consumed = stack.pop()
+            wanted = core_labels[consumed]
+            child, end = i + 1, rows[i][2]
+            while child < end:
+                letter, _, after, height = rows[child]
+                # a letter consumes at most one core letter, so a child whose
+                # subtree cannot spell the letters still missing yields nothing
+                if letter == wanted:
+                    if consumed + 1 == m:
+                        # every word below embeds the core too
+                        yield from range(child, after)
+                    elif consumed + 1 + height >= m:
+                        stack.append((child, consumed + 1))
+                elif consumed and consumed + height >= m:
+                    stack.append((child, consumed))
+                child = after
+
+    @staticmethod
     def _walk(rows: list[list], core_labels: Word, k: int):
+        """The shape walk at any bound; a row carries its shape positions,
+        the smallest gap per consumed count."""
         m = len(core_labels)
         # gap k at zero consumed letters: no letter may come before the first
         stack = [(0, ((0, k),))]
@@ -783,8 +824,13 @@ class _OracleView:
                             nxt.append((consumed, gap + 1))
                         if consumed < m and letter == core_labels[consumed]:
                             nxt.append((consumed + 1, 0))
-                    if nxt and nxt[-1][0] + height >= m:
-                        stack.append((child, tuple(nxt)))
+                    if nxt:
+                        most, gap = nxt[-1]
+                        if most == m and gap + height <= k:
+                            # no word below can pass the bound
+                            yield from range(child, after)
+                        elif most + height >= m:
+                            stack.append((child, tuple(nxt)))
                 child = after
 
     def subword_rows(self, core_labels: Word):

@@ -9,40 +9,65 @@ from .lts import Lts, State, format_state, valid_label
 
 
 class Formula:
-    """Base class for formula nodes; all nodes are frozen and hashable."""
+    """Base class for formula nodes; all nodes are frozen and hashable.
+
+    A node keeps its hash and its alphabet once asked for them, so each is
+    computed once per node, from its children's.  Neither takes part in
+    equality, repr or pickling: a string's hash differs between processes,
+    so an unpickled node computes its own.
+    """
 
     __slots__ = ()
+    _hash = None
+    _alphabet = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self.__dict__["_hash"] = self._fields_hash()
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node with the generated equality and repr.  The
+    generated hash, of the fields' tuple, becomes `_fields_hash`, which
+    Formula's hash calls once per node."""
+    cls = dataclass(frozen=True)(cls)
+    cls._fields_hash, cls.__hash__ = cls.__hash__, Formula.__hash__
+    return cls
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     label: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     label: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
@@ -62,8 +87,9 @@ class FormulaParseError(ValueError):
 
 _PUNCT = set("<>[]!&|()")
 
-# Satisfaction, formatting and hashing recurse once per nesting level, so a
-# parsed formula deeper than this is rejected before it reaches them.
+# Satisfaction, formatting, equality and a node's first hash recurse once per
+# nesting level, so a parsed formula deeper than this is rejected before it
+# reaches them.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -259,16 +285,20 @@ def format_formula(f: Formula) -> str:
 
 def formula_alphabet(f: Formula) -> frozenset:
     """Labels appearing in modalities."""
-    match f:
-        case Top():
-            return frozenset()
-        case Diamond(label, body) | Box(label, body):
-            return frozenset({label}) | formula_alphabet(body)
-        case Not(body):
-            return formula_alphabet(body)
-        case And(left, right) | Or(left, right):
-            return formula_alphabet(left) | formula_alphabet(right)
-    raise TypeError(f"not a formula: {f!r}")
+    if getattr(f, "_alphabet", None) is None:
+        match f:
+            case Top():
+                alphabet = frozenset()
+            case Diamond(label, body) | Box(label, body):
+                alphabet = formula_alphabet(body) | {label}
+            case Not(body):
+                alphabet = formula_alphabet(body)
+            case And(left, right) | Or(left, right):
+                alphabet = formula_alphabet(left) | formula_alphabet(right)
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        f.__dict__["_alphabet"] = alphabet
+    return f._alphabet
 
 
 def satisfies(lts: Lts, s: State, f: Formula) -> bool:

@@ -697,8 +697,10 @@ def _most_consumed(word: tuple, core_labels: tuple, k: int) -> Optional[int]:
 def test_the_shape_walk_enters_no_row_too_shallow_to_finish_the_core():
     # corpus instance 3's "both effects" cores have 6 letters and its product's
     # longest path is its bound 8, so most subtrees are too shallow to spell
-    # the core letters still missing.  The walk reads the rows it enters and
-    # their children, and nothing else
+    # the core letters still missing, and every row that finishes the core is
+    # taken with its subtree whole.  The walk reads the rows it enters and
+    # their children, and nothing else; the gapped walk reads the same rows
+    # at this bound
     inst = list(corpus(4, seed=7))[3]
     k = inst.bound
     both = EffectContext(
@@ -706,6 +708,7 @@ def test_the_shape_walk_enters_no_row_too_shallow_to_finish_the_core():
         And(inst.left.formula, inst.right.formula),
     )
     view = _OracleView(both.lts)
+    assert view.longest == k
     found = causes(both, k).causes
     view.shape_rows(found[0].computation.labels, k)
     rows = view.rows
@@ -719,33 +722,121 @@ def test_the_shape_walk_enters_no_row_too_shallow_to_finish_the_core():
         [j for j in range(i + 1, rows[i][2]) if len(spelled[j]) == len(spelled[i]) + 1]
         for i in range(len(rows))
     ]
-    entered = without_heights = 0
+    entered = without_whole_subtrees = without_heights = 0
     for report in found:
         core = report.computation.labels
         m = len(core)
-        read_rows = _ReadRows(rows)
-        walked = list(_OracleView._walk(read_rows, core, k))
-        assert walked == list(view.shape_rows(core, k))
         consumed = [_most_consumed(word, core, k) for word in spelled]
-        expected = _entered_rows(children, consumed, heights, m)
-        assert read_rows.read == {0} | {j for i in expected for j in children[i]}
+        expected = _entered_rows(children, consumed, heights, m, finished=False)
+        exact, gapped = _ReadRows(rows), _ReadRows(rows)
+        walked = list(view.shape_rows(core, k))
+        assert list(_OracleView._exact_walk(exact, core)) == walked
+        assert list(_OracleView._walk(gapped, core, k)) == walked
+        assert exact.read == gapped.read == {0} | {
+            j for i in expected for j in children[i]
+        }
         entered += len(expected)
+        without_whole_subtrees += len(_entered_rows(children, consumed, heights, m))
         without_heights += len(_entered_rows(children, consumed, heights, 0))
-    # without the height rule the walk enters 24,180 rows for these cores
-    assert (len(found), entered, without_heights) == (60, 4_641, 24_180)
+    # without the whole-subtree rule the walk enters 4,641 rows for these
+    # cores, and without the height rule as well 24,180
+    assert (len(found), entered, without_whole_subtrees, without_heights) == (
+        60,
+        3_991,
+        4_641,
+        24_180,
+    )
 
 
-def _entered_rows(children: list, consumed: list, heights: list, m: int) -> set:
+def _entered_rows(
+    children: list, consumed: list, heights: list, m: int, finished: bool = True
+) -> set:
     """The rows below which a shaped word can still spell m core letters,
     reached from the root through such rows; m=0 keeps every row that
-    starts a shaped word."""
+    starts a shaped word.  With finished=False a row that has consumed all
+    m letters is not entered either."""
     entered, stack = {0}, [0]
     while stack:
         for j in children[stack.pop()]:
-            if consumed[j] is not None and consumed[j] + heights[j] >= m:
+            if consumed[j] is None or consumed[j] + heights[j] < m:
+                continue
+            if finished or consumed[j] < m:
                 entered.add(j)
                 stack.append(j)
     return entered
+
+
+def test_the_exact_walk_yields_the_rows_of_the_gapped_walk_and_of_shaped_words():
+    # at a bound that covers an acyclic system's longest path the shape walk
+    # carries only the greedy consumed count; its rows must be those of the
+    # gapped walk and of the shaped words.  The drawn cycle lies outside the
+    # reachable part, and at least half the draws must yield a row
+    yielding_draws = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system=_systems(), extra=st.integers(0, 2))
+    def check(system, extra):
+        lts = _acyclic(system[0])
+        view = _OracleView(lts)
+        k = view.longest + extra
+        alphabet = sorted(lts.alphabet)
+        yielded = 0
+        for m in range(1, 4):
+            for labels in itertools.product(alphabet, repeat=m):
+                shaped = view.shape_rows(labels, k)
+                assert shaped.gi_code is _OracleView._exact_walk.__code__
+                walked = list(shaped)
+                assert len(set(walked)) == len(walked)
+                gapped = _OracleView._walk(view.rows, labels, k)
+                assert sorted(walked) == sorted(gapped)
+                assert {
+                    spell_row(view.rows, i): view.rows[i][1] for i in walked
+                } == shaped_words(lts, labels, k)
+                yielded += len(walked)
+        yielding_draws.append(yielded > 0)
+
+    check()
+    assert sum(yielding_draws) >= 50
+
+
+def test_the_gapped_walk_takes_finished_subtrees_whole_on_cyclic_systems():
+    # a row that has consumed the core at gap g, with height at most k - g,
+    # yields its whole subtree unread.  On cyclic draws that must give the
+    # rows of the shaped words, and the rule must fire in most draws: it
+    # fires when a yielded row is one the walk never read
+    fired = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system=_systems(), data=st.data(), k=st.integers(1, 2))
+    def check(system, data, k):
+        drawn, _ = system
+        back = (
+            data.draw(st.sampled_from(sorted(reachable_states(drawn)))),
+            data.draw(st.sampled_from(sorted(drawn.alphabet))),
+            drawn.initial,
+        )
+        lts = Lts(
+            drawn.states, drawn.initial, drawn.alphabet, drawn.transitions | {back}
+        )
+        view = _OracleView(lts)
+        assert view.longest is None
+        alphabet = sorted(lts.alphabet)
+        unread = 0
+        for m in range(3):
+            for labels in itertools.product(alphabet, repeat=m):
+                view.shape_rows(labels, k)
+                read_rows = _ReadRows(view.rows)
+                walked = list(_OracleView._walk(read_rows, labels, k))
+                assert walked == list(view.shape_rows(labels, k))
+                assert len(set(walked)) == len(walked)
+                assert {
+                    spell_row(view.rows, i): view.rows[i][1] for i in walked
+                } == shaped_words(lts, labels, k)
+                unread += len(set(walked) - read_rows.read)
+        fired.append(unread > 0)
+
+    check()
+    assert sum(fired) >= 90
 
 
 @st.composite

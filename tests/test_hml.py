@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import FIXTURE_DIR, init_actions, rand_formula, seeded_lts
+from helpers import FIXTURE_DIR, ROOT, init_actions, rand_formula, seeded_lts
 from hmlcause import (
     And,
     Box,
@@ -114,6 +118,64 @@ def test_formula_alphabet_examples():
     assert formula_alphabet(parse_formula("[a]<b>tt & <a>tt")) == frozenset(
         {"a", "b"}
     )
+
+
+def _labels(f) -> frozenset:
+    """The labels of f's modalities, by recursion on the formula."""
+    match f:
+        case Diamond(label, body) | Box(label, body):
+            return {label} | _labels(body)
+        case Not(body):
+            return _labels(body)
+        case And(left, right) | Or(left, right):
+            return _labels(left) | _labels(right)
+    return frozenset()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000))
+def test_a_formula_keeps_its_alphabet_and_hash_out_of_equality_and_repr(seed):
+    rng = random.Random(seed)
+    f = rand_formula(rng, ["a", "b", "c", "d"], 4)
+    assert formula_alphabet(f) == _labels(f)
+    # the hash a frozen dataclass gives: its fields' tuple, children hashed
+    # the same way
+    assert hash(f) == hash(tuple(getattr(f, name) for name in f.__match_args__))
+    built = parse_formula(format_formula(f))
+    assert built == f and built is not f and repr(built) == repr(f)
+    assert "_hash" not in repr(f) and "_alphabet" not in repr(f)
+    # equal hashes, different nodes
+    assert Diamond("a", f) != Box("a", f) and hash(Diamond("a", f)) == hash(Box("a", f))
+
+
+def test_a_pickled_formula_hashes_as_the_loading_process_builds_it():
+    # a node keeps its hash once asked for it, and a string's hash differs
+    # between processes, so the pickle holds the fields alone and the loaded
+    # node hashes anew
+    text = "<a>(tt & [b]!<c>tt) | !<a>tt"
+    formula = parse_formula(text)
+    assert formula in {formula} and formula_alphabet(formula) == {"a", "b", "c"}
+    data = pickle.dumps(formula)
+    check = (
+        "import pickle, sys\n"
+        "from hmlcause import formula_alphabet, parse_formula\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        f"built = parse_formula({text!r})\n"
+        "assert loaded == built and hash(loaded) == hash(built)\n"
+        "assert loaded in {built} and formula_alphabet(loaded) == {'a', 'b', 'c'}\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", check], input=data, env=env, capture_output=True
+        )
+        assert run.returncode == 0, run.stderr.decode()
+    assert pickle.loads(data) == parse_formula(text)
 
 
 # ---------------------------------------------------------------- satisfaction
