@@ -664,18 +664,17 @@ def causal_projection(ctx: EffectContext, k: Optional[int] = None) -> Lts:
 # system is acyclic and the bound covers its longest path, no gap can pass
 # the bound, so a word has the shape exactly when it starts with the first
 # core letter and embeds the core: the walk carries one int, the count of
-# core letters a greedy leftmost match has consumed.  Otherwise it carries a
-# small dynamic program over (consumed core letters, gap since the last one)
-# and keeps only the smallest gap per consumed count, since a smaller gap
-# admits every continuation a larger one does.  Either walk skips a subtree
-# whole where the core can no longer be spelled (the walk runs empty, or the
-# subtree is too shallow for the letters still missing), and takes a subtree
-# whole, without reading its rows, where the core is consumed and no word
-# below can pass the bound.  Traces are re-expanded entry by entry and found
-# in the table.  The core's smaller label words are the rows of a second
-# walk, which keeps each row's embedding into the core word.  The effect
-# enters only as the set of states satisfying it, which the tests hold to
-# the definition.
+# core letters a greedy leftmost match has consumed, and takes the subtree of
+# a row that finishes the core whole, without reading its rows.  Otherwise it
+# carries a small dynamic program over (consumed core letters, gap since the
+# last one) and keeps only the smallest gap per consumed count, since a
+# smaller gap admits every continuation a larger one does.  Either walk
+# skips a subtree whole where the core can no longer be spelled (the walk
+# runs empty, or the subtree is too shallow for the letters still missing).
+# Traces are re-expanded entry by entry and found in the table.  The core's
+# smaller label words are the rows of a second walk, which keeps each row's
+# embedding into the core word.  The effect enters only as the set of states
+# satisfying it, which the tests hold to the definition.
 
 
 class _OracleView:
@@ -801,8 +800,6 @@ class _OracleView:
 
     @staticmethod
     def _walk(rows: list[list], core_labels: Word, k: int):
-        """The shape walk at any bound; a row carries its shape positions,
-        the smallest gap per consumed count."""
         m = len(core_labels)
         # gap k at zero consumed letters: no letter may come before the first
         stack = [(0, ((0, k),))]
@@ -824,13 +821,8 @@ class _OracleView:
                             nxt.append((consumed, gap + 1))
                         if consumed < m and letter == core_labels[consumed]:
                             nxt.append((consumed + 1, 0))
-                    if nxt:
-                        most, gap = nxt[-1]
-                        if most == m and gap + height <= k:
-                            # no word below can pass the bound
-                            yield from range(child, after)
-                        elif most + height >= m:
-                            stack.append((child, tuple(nxt)))
+                    if nxt and nxt[-1][0] + height >= m:
+                        stack.append((child, tuple(nxt)))
                 child = after
 
     def subword_rows(self, core_labels: Word):
