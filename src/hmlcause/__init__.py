@@ -66,14 +66,12 @@ _EXPORTS = {
         "emit_dot",
         "format_state",
         "interleave",
-        "is_acyclic",
         "longest_acyclic_path",
         "make_lts",
         "parse_aut",
         "reachable_states",
         "restrict_to_reachable",
         "step",
-        "subwords",
     ),
     "testkit": (
         "CorpusInstance",

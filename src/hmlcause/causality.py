@@ -49,12 +49,11 @@ class ConditionReport:
     ac1: Optional[bool] = None
     ac2a: Optional[bool] = None
     ac2b: Optional[bool] = None
-    ac2c: Optional[bool] = None
     ac3: Optional[bool] = None
 
     @property
     def first_failed(self) -> Optional[str]:
-        for name in ("ac1", "ac2a", "ac2b", "ac2c", "ac3"):
+        for name in ("ac1", "ac2a", "ac2b", "ac3"):
             if getattr(self, name) is False:
                 return name.upper()
         return None
@@ -122,8 +121,9 @@ class _StateSets:
     memoised per core suffix.
 
     An instance lives for one `causes` or `cause_candidate` call and is
-    shared by every core that call judges.  It is never stored on the Lts,
-    which module-level caches keep alive.
+    shared by every core that call judges.  It is not kept in the system's
+    memo: its memos grow with every core judged, and only the call's cause
+    set is asked for again.
     """
 
     def __init__(self, lts: Lts, sat: frozenset) -> None:
@@ -529,9 +529,7 @@ def cause_candidate(
         return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
     _, dlists, truncated = evaluated
     computation = Computation(core.states, core.labels, dlists, truncated)
-    return computation, ConditionReport(
-        ac1=True, ac2a=True, ac2b=True, ac2c=True
-    )
+    return computation, ConditionReport(ac1=True, ac2a=True, ac2b=True)
 
 
 def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
@@ -542,18 +540,17 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     candidate, which is exactly the minimality condition.  When the effect
     already holds initially the only possible cause is the trivial
     single-state computation, emitted when some reachable state escapes the
-    effect and omitted otherwise.
+    effect and omitted otherwise.  The cause set is kept in the system's
+    memo, so asking again for the same formula and bound returns it.
     """
+    lts = ctx.lts
     if k is None:
-        k = default_bound(ctx.lts)
+        k = default_bound(lts)
     if k < 0:
         raise ValueError("bound must be nonnegative")
-    return _causes_cached(ctx, k)
-
-
-@lru_cache(maxsize=512)
-def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
-    lts = ctx.lts
+    memo, key = lts._memo, (ctx.formula, k)
+    if key in memo:
+        return memo[key]
     sat = states_satisfying(lts, ctx.formula)
     exact = exploration_is_exact(lts, k)
     exactness = Exactness.EXACT if exact else Exactness.BOUNDED_APPROX
@@ -562,7 +559,8 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
         reports: tuple = ()
         if reachable_states(lts) - sat:
             reports = (CauseReport(trivial_computation(lts.initial), frozenset()),)
-        return CauseSet(reports, ctx, k, exactness, immediate=True)
+        memo[key] = CauseSet(reports, ctx, k, exactness, immediate=True)
+        return memo[key]
 
     space = _StateSets(lts, sat)
     successful_words: set[Word] = set()
@@ -592,7 +590,8 @@ def _causes_cached(ctx: EffectContext, k: int) -> CauseSet:
             break
         level = survivors
 
-    return CauseSet(_in_order(accepted), ctx, k, exactness, immediate=False)
+    memo[key] = CauseSet(_in_order(accepted), ctx, k, exactness, immediate=False)
+    return memo[key]
 
 
 def _in_order(reports: list) -> tuple:
@@ -859,6 +858,8 @@ class _OracleView:
                 child = rows[child][2]
 
 
+# Bounded rather than kept in the system's memo: a run that keeps many
+# systems alive would keep a trie for each.
 @lru_cache(maxsize=8)
 def _oracle_view(lts: Lts) -> _OracleView:
     return _OracleView(lts)

@@ -44,12 +44,12 @@ def _display_order(words):
 
 def _effective_bound(requested, lts) -> int:
     from .causality import default_bound
-    from .lts import is_acyclic
+    from .lts import longest_acyclic_path
 
     if requested is not None:
         return requested
     k = default_bound(lts)
-    if not is_acyclic(lts):
+    if longest_acyclic_path(lts) is None:
         print(
             f"note: system has cycles; using default bound {k}, "
             "results are bounded rather than exact",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lts import Lts, State, format_state, valid_label
 
@@ -308,14 +307,17 @@ def satisfies(lts: Lts, s: State, f: Formula) -> bool:
     return s in states_satisfying(lts, f)
 
 
-@lru_cache(maxsize=4096)
 def states_satisfying(lts: Lts, f: Formula) -> frozenset:
-    """The set of states satisfying f, computed bottom-up over the formula."""
-    return _evaluate(lts, f)
+    """The set of states satisfying f, computed bottom-up over the formula
+    and kept in the system's memo."""
+    found = lts._memo.get(f)
+    if found is None:
+        found = lts._memo[f] = _evaluate(lts, f)
+    return found
 
 
 def _evaluate(lts: Lts, f: Formula) -> frozenset:
-    """`states_satisfying` without its cache, which keeps whole formulas
+    """`states_satisfying` without the memo, which keeps whole formulas
     only: one entry per question asked, not one per subformula."""
     match f:
         case Top():

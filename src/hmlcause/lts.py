@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Union
 
 State = Union[str, int, tuple]
@@ -46,11 +45,16 @@ class Lts:
     alphabet and a set of labeled transitions.
 
     The alphabet may strictly contain the labels used by transitions; the
-    converse is an error.  Construction validates every field.  The
-    successor index, the reachable states and the heights of the reachable
-    states are each computed on first use and kept on the system, so a
-    system that is only compared or hashed never pays for them.  So is the
-    last product it was interleaved into as the left component.
+    converse is an error.  Construction validates every field.
+
+    What is derived from the system is computed on first use and kept in
+    its one memo, which lives and dies with it: the successor index
+    ("out"), the reachable states ("reachable"), the heights of the
+    reachable states ("heights"), the last product it was interleaved into
+    as the left component ("product"), the states satisfying each formula
+    asked about (keyed by the formula) and each cause set (keyed by formula
+    and bound).  A system that is only compared or hashed never pays for
+    them, and a value-equal but distinct system computes its own.
     """
 
     states: frozenset
@@ -70,26 +74,19 @@ class Lts:
             if label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} not in alphabet")
         # an attribute added after construction costs a dict per instance
-        object.__setattr__(self, "_out", None)
-        object.__setattr__(self, "_reachable", None)
-        object.__setattr__(self, "_heights", None)
-        object.__setattr__(self, "_product", None)
-
-    def successors(self, s: State, label: str) -> frozenset:
-        return frozenset(dst for name, dst in self.outgoing(s) if name == label)
+        object.__setattr__(self, "_memo", {})
 
     def outgoing(self, s: State) -> tuple:
         """Sorted (label, target) pairs leaving s."""
-        out = self._out
+        out = self._memo.get("out")
         if out is None:
             edges: dict[State, set] = {state: set() for state in self.states}
             for src, label, dst in self.transitions:
                 edges[src].add((label, dst))
-            out = {
+            out = self._memo["out"] = {
                 state: tuple(sorted(v, key=lambda e: (e[0], format_state(e[1]))))
                 for state, v in edges.items()
             }
-            object.__setattr__(self, "_out", out)
         try:
             return out[s]
         except KeyError:
@@ -136,27 +133,10 @@ def _walk(lts: Lts) -> dict:
 
 def reachable_states(lts: Lts) -> frozenset:
     """All states reachable from the initial state by any word."""
-    found = lts._reachable
+    found = lts._memo.get("reachable")
     if found is None:
-        found = frozenset(_walk(lts))
-        object.__setattr__(lts, "_reachable", found)
+        found = lts._memo["reachable"] = frozenset(_walk(lts))
     return found
-
-
-def subwords(word: Word) -> frozenset:
-    """All words obtained by deleting at least one letter from word.
-
-    Contains the empty word for any nonempty input and never contains the
-    input itself; the empty word has no subwords.  A library utility: the
-    oracle finds the executable ones by walking its own trie instead.
-    """
-    result: set = set()
-    n = len(word)
-    indices = range(n)
-    for keep in range(n):
-        for positions in combinations(indices, keep):
-            result.add(tuple(word[i] for i in positions))
-    return frozenset(result)
 
 
 def interleave(left: Lts, right: Lts) -> Lts:
@@ -168,14 +148,14 @@ def interleave(left: Lts, right: Lts) -> Lts:
     state of the other side.  A label shared by both alphabets moves either
     side nondeterministically.
 
-    The left component keeps its last product with the right component,
-    like its successor index: interleaving it again with the same or an
-    equal right component returns that product, so the caches keyed by the
-    product hit by identity.  Only the last is kept, so a component
+    The left component keeps its last product with the right component in
+    its memo: interleaving it again with the same or an equal right
+    component returns that product, so the product's own memo is shared by
+    every check of the pair.  Only the last is kept, so a component
     interleaved with many others, as in counterexample shrinking, holds one
     product at a time, and the product is freed with its left component.
     """
-    kept = left._product
+    kept = left._memo.get("product")
     if kept is not None and kept[0] == right:
         return kept[1]
     lkeep = reachable_states(left)
@@ -197,7 +177,7 @@ def interleave(left: Lts, right: Lts) -> Lts:
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
-    object.__setattr__(left, "_product", (right, product))
+    left._memo["product"] = (right, product)
     return product
 
 
@@ -247,11 +227,6 @@ def restrict_to_reachable(lts: Lts) -> Lts:
     )
 
 
-def is_acyclic(lts: Lts) -> bool:
-    """True when the reachable part has no directed cycle."""
-    return longest_acyclic_path(lts) is not None
-
-
 def longest_acyclic_path(lts: Lts) -> Optional[int]:
     """Transition count of the longest path in the reachable part, or None
     when the reachable part contains a cycle.  Every path there extends
@@ -262,10 +237,9 @@ def longest_acyclic_path(lts: Lts) -> Optional[int]:
 def _state_heights(lts: Lts) -> dict:
     """Each reachable state from which no cycle is reachable, mapped to the
     transition count of the longest path out of it."""
-    found = lts._heights
+    found = lts._memo.get("heights")
     if found is None:
-        found = _settle(lts)
-        object.__setattr__(lts, "_heights", found)
+        found = lts._memo["heights"] = _settle(lts)
     return found
 
 

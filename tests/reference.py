@@ -2,6 +2,8 @@
 
 - `satisfies`, HML satisfaction at one state by direct recursion on the
   formula, the definition that `states_satisfying` is held to.
+- `successors`, the states one label leads to from one state.
+- `subwords`, every word obtained by deleting at least one letter.
 - The word layer: `reach`, the states one word reaches letter by letter;
   `project_word`, a word's letters inside one alphabet; and `classify_word`
   with its `Classification` of the states a word reaches against an effect.
@@ -36,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from hmlcause import (
@@ -56,12 +58,30 @@ from hmlcause import (
     format_state,
     states_satisfying,
     step,
-    subwords,
 )
 from hmlcause.causality import _oracle_view, _OracleView, _require_valid_core
 from hmlcause.composition import _prepare
 from hmlcause.computation import computation_traces, size_compatible
 from hmlcause.lts import State, Word
+
+
+def successors(lts: Lts, s: State, label: str) -> frozenset:
+    return frozenset(dst for name, dst in lts.outgoing(s) if name == label)
+
+
+def subwords(word: Word) -> frozenset:
+    """All words obtained by deleting at least one letter from word.
+
+    Contains the empty word for any nonempty input and never contains the
+    input itself; the empty word has no subwords.
+    """
+    result: set = set()
+    n = len(word)
+    indices = range(n)
+    for keep in range(n):
+        for positions in combinations(indices, keep):
+            result.add(tuple(word[i] for i in positions))
+    return frozenset(result)
 
 
 def satisfies(lts: Lts, s: State, f: Formula) -> bool:
@@ -72,9 +92,9 @@ def satisfies(lts: Lts, s: State, f: Formula) -> bool:
         case Top():
             return True
         case Diamond(label, body):
-            return any(satisfies(lts, t, body) for t in lts.successors(s, label))
+            return any(satisfies(lts, t, body) for t in successors(lts, s, label))
         case Box(label, body):
-            return all(satisfies(lts, t, body) for t in lts.successors(s, label))
+            return all(satisfies(lts, t, body) for t in successors(lts, s, label))
         case Not(body):
             return not satisfies(lts, s, body)
         case And(left, right):
@@ -338,7 +358,7 @@ def _paths_for_word(lts: Lts, start, word: Word) -> list[tuple]:
         if i == len(word):
             paths.append(prefix)
             return
-        for nxt in sorted(lts.successors(prefix[-1], word[i]), key=format_state):
+        for nxt in sorted(successors(lts, prefix[-1], word[i]), key=format_state):
             walk(prefix + (nxt,), i + 1)
 
     walk((start,), 0)

@@ -101,7 +101,6 @@ def test_candidate_rejects_mixed_outcome():
     assert report.ac1 is True
     assert report.ac2a is True
     assert report.ac2b is False
-    assert report.ac2c is None
     assert report.first_failed == "AC2B"
 
 

@@ -215,7 +215,7 @@ def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
 def _count_dag_nodes(monkeypatch) -> list:
     """Count, in the returned list's one entry, the DAG nodes that the cause
     sets computed from here on build.  The explore loop reads the moves of
-    each node once, and the cause-set cache is bypassed."""
+    each node once."""
     moves = causality._StateSets.moves
     calls = [0]
 
@@ -224,9 +224,6 @@ def _count_dag_nodes(monkeypatch) -> list:
         return moves(self, mask)
 
     monkeypatch.setattr(causality._StateSets, "moves", counted)
-    monkeypatch.setattr(
-        causality, "_causes_cached", causality._causes_cached.__wrapped__
-    )
     return calls
 
 

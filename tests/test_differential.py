@@ -37,7 +37,6 @@ from hmlcause import (
     parse_formula,
     states_satisfying,
     step,
-    subwords,
     verify_disjunction_theorem,
 )
 from hmlcause.causality import (
@@ -63,6 +62,8 @@ from reference import (
     shaped_row_words,
     shaped_words,
     spell_row,
+    subwords,
+    successors,
     validate_computation,
     word_lifting_check,
     word_oracle_details,
@@ -1064,7 +1065,7 @@ def _malformed(lts: Lts, comp: Computation):
     for i in range(len(states)):
         yield Computation(states[:i] + ("unknown",) + states[i + 1 :], labels, dlists)
     for i, label in enumerate(labels):
-        off = lts.states - lts.successors(states[i], label)
+        off = lts.states - successors(lts, states[i], label)
         for dst in sorted(off, key=format_state)[:1]:
             yield Computation(states[: i + 1] + (dst,) + states[i + 2 :], labels, dlists)
     for first in sorted(lts.states - {states[0]}, key=format_state):

@@ -231,17 +231,17 @@ def test_states_satisfying_matches_pointwise(ctx, seed, depth):
 
 @pytest.fixture
 def successor_budget(monkeypatch):
-    lookup = Lts.successors
+    lookup = Lts.outgoing
     calls = 0
 
-    def counted(self, s, label):
+    def counted(self, s):
         nonlocal calls
         calls += 1
         if calls > 10_000:
             raise RuntimeError("successor lookup budget exceeded")
-        return lookup(self, s, label)
+        return lookup(self, s)
 
-    monkeypatch.setattr(Lts, "successors", counted)
+    monkeypatch.setattr(Lts, "outgoing", counted)
 
 
 BOXES = "[a]" * 99 + "tt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -12,11 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import init_actions, seeded_lts, w, words
-from reference import brute_longest_acyclic_path, project_word, reach
+from reference import (
+    brute_longest_acyclic_path,
+    project_word,
+    reach,
+    subwords,
+    successors,
+)
 from hmlcause import (
+    And,
     AutParseError,
     CHOICE_INITIAL,
     EffectContext,
+    GenParams,
     Lts,
     causal_projection,
     causes,
@@ -25,8 +34,9 @@ from hmlcause import (
     cross_check_single_component,
     emit_aut,
     emit_dot,
+    gen_effect,
+    gen_lts,
     interleave,
-    is_acyclic,
     longest_acyclic_path,
     make_lts,
     oracle_check_cause,
@@ -34,11 +44,11 @@ from hmlcause import (
     parse_formula,
     reachable_states,
     restrict_to_reachable,
-    subwords,
+    states_satisfying,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
 )
-from hmlcause import causality, composition
+from hmlcause import composition
 from hmlcause import lts as lts_module
 from hmlcause.testkit import corpus, fixtures
 
@@ -226,9 +236,6 @@ def test_the_laws_and_lemmas_build_one_product_per_pair(monkeypatch):
         return product
 
     monkeypatch.setattr(composition, "interleave", recording)
-    monkeypatch.setattr(
-        causality, "_causes_cached", causality._causes_cached.__wrapped__
-    )
     inst = list(corpus(1, seed=7))[0]
     left, right, k = inst.left, inst.right, inst.bound
     for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
@@ -269,9 +276,9 @@ def test_acyclicity_and_longest_path():
     t1 = FIX["t1"][0]
     t2 = FIX["t2"][0]
     t5 = FIX["t5"][0]
-    assert is_acyclic(t1) and longest_acyclic_path(t1) == 2
-    assert not is_acyclic(t2) and longest_acyclic_path(t2) is None
-    assert not is_acyclic(t5)
+    assert longest_acyclic_path(t1) == 2
+    assert longest_acyclic_path(t2) is None
+    assert longest_acyclic_path(t5) is None
 
 
 def test_longest_acyclic_path_leaves_no_garbage():
@@ -320,9 +327,6 @@ def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
 
     monkeypatch.setattr(lts_module, "_walk", counting("walk", lts_module._walk))
     monkeypatch.setattr(lts_module, "_settle", counting("settle", lts_module._settle))
-    monkeypatch.setattr(
-        causality, "_causes_cached", causality._causes_cached.__wrapped__
-    )
     inst = list(corpus(1, seed=7))[0]
     left, right, k = inst.left, inst.right, inst.bound
     for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
@@ -349,7 +353,7 @@ def test_restrict_to_reachable_drops_orphans():
     assert trimmed.states == frozenset({"a0", "a1"})
 
 
-# ---------------------------------------------------------------- lazy indexes
+# ---------------------------------------------------------------- the memo
 
 
 def _fresh_t4() -> Lts:
@@ -360,18 +364,67 @@ def _fresh_t4() -> Lts:
 def test_untraversed_system_equals_and_hashes_like_a_traversed_one():
     fresh, walked = _fresh_t4(), _fresh_t4()
     reachable_states(walked)
-    assert fresh._out is None and walked._out is not None
+    assert fresh._memo == {} and "out" in walked._memo
     assert fresh == walked and hash(fresh) == hash(walked)
     assert {fresh: 1}[walked] == 1
 
 
-def test_causes_over_untraversed_system_hit_the_same_cache_entry():
+def test_causes_over_untraversed_system_are_equal_and_kept_per_system():
     formula = parse_formula("<h>tt")
     walked = _fresh_t4()
     first = causes(EffectContext(walked, formula), 3)
     fresh = _fresh_t4()
-    assert fresh._out is None
-    assert causes(EffectContext(fresh, formula), 3) is first
+    assert fresh._memo == {}
+    again = causes(EffectContext(fresh, formula), 3)
+    assert again == first and again is not first
+    assert causes(EffectContext(fresh, formula), 3) is again
+    assert causes(EffectContext(walked, formula), 3) is first
+
+
+def test_a_system_and_its_memo_are_freed_together():
+    formula = parse_formula("<h>tt")
+    system = _fresh_t4()
+    product = interleave(system, FIX["t1"][0])
+    causes(EffectContext(system, formula), 3)
+    causes(EffectContext(product, formula), 3)
+    states_satisfying(system, formula)
+    dead = weakref.ref(system), weakref.ref(product)
+    del system, product
+    gc.collect()
+    assert [ref() for ref in dead] == [None, None]
+
+
+def _both_effects(seed: int) -> EffectContext:
+    """The "both effects" context of two small cyclic components."""
+    sides = []
+    for namespace in ("L", "R"):
+        params = GenParams(seed=seed, max_states=4, acyclic=False, namespace=namespace)
+        lts = gen_lts(params)
+        sides.append(EffectContext(lts, gen_effect(params, lts)))
+    left, right = sides
+    return EffectContext(
+        interleave(left.lts, right.lts), And(left.formula, right.formula)
+    )
+
+
+def test_causes_on_throwaway_systems_leave_no_memory_behind():
+    # 80 cause sets on throwaway systems, whose memos hold about 1.8 MB
+    # between them and die with the systems; what stays traced afterwards
+    # is the interpreter's free lists, about 0.1 MB
+    for seed in range(10):
+        causes(_both_effects(seed), 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for seed in range(10, 50):
+            for k in (4, 5):
+                assert causes(_both_effects(seed), k).bound == k
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 512 * 1024
 
 
 @pytest.mark.parametrize(
@@ -390,7 +443,7 @@ def test_bad_transition_is_rejected_at_construction(transitions, alphabet):
 
 def test_outgoing_of_unknown_state_raises_on_the_first_call():
     fresh = _fresh_t4()
-    assert fresh._out is None
+    assert fresh._memo == {}
     with pytest.raises(ValueError, match="unknown state"):
         fresh.outgoing("nowhere")
 
@@ -411,7 +464,7 @@ def test_reach_step_rule(seed, word):
         direct = reach(lts, lts.initial, word + (label,))
         prefix = reach(lts, lts.initial, word)
         stepped = frozenset(
-            t for s in prefix for t in lts.successors(s, label)
+            t for s in prefix for t in successors(lts, s, label)
         )
         assert direct == stepped
 
