@@ -27,7 +27,6 @@ from .hml import EffectContext, format_formula, states_satisfying
 from .lts import (
     Lts,
     Word,
-    _state_heights,
     _state_to_json,
     format_state,
     longest_acyclic_path,
@@ -116,9 +115,9 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
 
 class _StateSets:
     """One system's states numbered once, state sets as int bitmasks, and
-    the one-letter moves out of each set and its height memoised per set,
-    and the states that can still finish a core and leave the effect
-    memoised per core suffix.
+    the one-letter moves out of each set memoised per set, and the states
+    that can still finish a core and leave the effect memoised per core
+    suffix.
 
     An instance lives for one `causes` or `cause_candidate` call and is
     shared by every core that call judges.  It is not kept in the system's
@@ -142,9 +141,6 @@ class _StateSets:
         self.reachable = sum(1 << index[s] for s in reachable_states(lts))
         self._live: dict[Word, int] = {}
         self.longest = longest_acyclic_path(lts)
-        heights = _state_heights(lts)
-        self._state_heights = [heights.get(s, 0) for s in index]
-        self._heights: dict[int, int] = {}
 
     def moves(self, mask: int) -> tuple:
         """(label, successor set) for every label some state of mask enables,
@@ -160,17 +156,6 @@ class _StateSets:
                 if nxt:
                     found.append((label, nxt))
             found = self._moves[mask] = tuple(found)
-        return found
-
-    def height(self, mask: int) -> int:
-        """The longest path out of any state of mask, on an acyclic system.
-        Every state a move reaches is one step along a path out of some
-        state of mask, so the height falls strictly along every move."""
-        found = self._heights.get(mask)
-        if found is None:
-            found = self._heights[mask] = max(
-                self._state_heights[i] for i in _bits(mask)
-            )
         return found
 
     def live(self, word: Word) -> list[int]:
@@ -238,7 +223,7 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     So the positions with c letters consumed, row c, are one small number.
     Both position sets share one int of 2(m+1) fields, the set at k+1 in
     the high half.  A field is B value bits under a guard bit, and row c of
-    the set at bound K sits at field m-c and holds K+1-gap, or 0 when the
+    the set at bound K sits at field c and holds K+1-gap, or 0 when the
     row is empty; row 0 starts at gap K, as no letter may come before the
     first core letter.
     A letter lowers every nonzero field by one at once, through the guard
@@ -281,19 +266,8 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     """
     m = len(labels)
     gapless = space.longest is not None and k >= space.longest
-    # every child has consumed the first core letter, so its most-consumed
-    # row c is at least 1 and live[c-1] is its mask
-    live = space.live(labels[1:])
-    prune = m and live[0] & space.reachable != space.reachable
-    # per label, the rows c whose core letter it is
-    advance: dict[str, int] = {}
     if gapless:
-        for c, label in enumerate(labels):
-            advance[label] = advance.get(label, 0) | 1 << c
-        accepting = accepting_next = 1 << m
-        start = 1
-        # the most-consumed row is the highest set bit
-        shift, live_at = 0, [0, *live]
+        width, field, high = 1, 1, 0
     else:
         B = (k + 2).bit_length()
         width = B + 1
@@ -304,26 +278,62 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
         guards = ones << B
         values = ones * field
         fresh = (k + 1) * half | (k + 2) * half << high  # gap 0 in every row
-        accepting, accepting_next = field, field << high
-        for c, label in enumerate(labels):
-            row = (field | field << high) << ((m - c) * width)
-            advance[label] = advance.get(label, 0) | row
-        start = (1 | 1 << high) << (m * width)
-        # the most-consumed row at k+1 is the lowest nonzero field of the
-        # high half, found from its lowest set bit
-        shift, live_at = high, [live[m - 1 - bit // width] for bit in range(m * width)]
+    # the set at k+1 sits `high` bits above the set at k; gapless they are one
+    accepting = field << m * width
+    accepting_next = accepting << high
+    start = 1 | 1 << high
+    # per label, the rows c whose core letter it is
+    advance: dict[str, int] = {}
+    for c, label in enumerate(labels):
+        advance[label] = advance.get(label, 0) | (field | field << high) << c * width
+    # every child has consumed the first core letter, so the highest set bit
+    # of its positions lies in the field of its most-consumed row c >= 1 at
+    # k+1, and live[c-1] is its mask
+    live = space.live(labels[1:])
+    prune = m and live[0] & space.reachable != space.reachable
+    live_at = [0] * (high + width) + [mask for mask in live for _ in range(width)]
 
-    # each node is numbered when first found; its children and kill flag
-    # are kept in lists under that number
+    # The DAG is acyclic: gapless, the height of the reached set (the
+    # longest path out of any of its states) falls along every edge of an
+    # acyclic system; with fields, along every edge the least-consumed
+    # nonempty row at k+1 either loses gap budget or empties, and rows are
+    # set only at higher consumed counts.  So a depth-first search that
+    # pushes a node's unexpanded children above its ~i marker finishes each
+    # node after every node it reaches.  Each node is numbered when first
+    # found, and its key, its children (None until it is expanded, dropped
+    # when it finishes) and its kill flag are kept in lists under that
+    # number.  Each productive node (a kill node, or one with a productive
+    # child) is renumbered when it finishes and kept as (kill flag, path
+    # count, productive children as (label, number) pairs).  Those tuples
+    # hold only str and int, so the cyclic collector stops scanning them,
+    # and the lists die on return.
     sat = space.sat
     root = (space.initial, start, 0)
     index = {root: 0}
-    edges: list[list] = [[]]
+    keys = [root]
+    edges: list = [None]
     kill_flags = [False]
+    number = [-1]
+    nodes: list[tuple] = []
     truncated = False
-    stack = [(*root, 0)]
+    stack = [0]
     while stack:
-        reached, positions, length, i = stack.pop()
+        i = stack.pop()
+        if i < 0:
+            i = ~i
+            children = [(label, number[j]) for label, j in edges[i] if number[j] >= 0]
+            edges[i] = ()
+            is_kill = kill_flags[i]
+            if is_kill or children:
+                count = is_kill
+                for _, child in children:
+                    count += nodes[child][1]
+                number[i] = len(nodes)
+                nodes.append((is_kill, count, tuple(children)))
+            continue
+        if edges[i] is not None:
+            continue  # already expanded below another parent
+        reached, positions, length = keys[i]
         inside = reached & sat
         if positions & accepting:
             if length == m:
@@ -335,7 +345,8 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
                 return None
         elif positions & accepting_next and inside != reached:
             truncated = True
-        out = edges[i]
+        out = edges[i] = []
+        stack.append(~i)
         longer = min(length + 1, m + 1)
         if gapless:
             grown = positions & ~1
@@ -347,52 +358,25 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
             if gapless:
                 nxt_positions = grown | moved << 1
             elif moved:
-                # a core letter moves row c to gap 0 in row c+1, one field lower
-                rows = (((moved + values) & guards) >> (B + width)) * field
+                # a core letter moves row c to gap 0 in row c+1, one field higher
+                rows = (((moved + values) & guards) << 1) * field
                 nxt_positions = grown & ~rows | fresh & rows
             else:
                 nxt_positions = grown
             if not nxt_positions:
                 continue
-            if prune:
-                top = nxt_positions >> shift
-                if not nxt & live_at[(top if gapless else top & -top).bit_length() - 1]:
-                    continue
+            if prune and not nxt & live_at[nxt_positions.bit_length() - 1]:
+                continue
             child = (nxt, nxt_positions, longer)
-            j = index.setdefault(child, len(edges))
+            j = index.setdefault(child, len(keys))
             out.append((label, j))
-            if j == len(edges):
-                edges.append([])
+            if j == len(keys):
+                keys.append(child)
+                edges.append(None)
                 kill_flags.append(False)
-                stack.append((*child, j))
-
-    # children before parents.  Gapless, by the reached set's height, which
-    # falls along every edge of an acyclic system.  Otherwise by the
-    # positions int itself: its highest nonzero field is the lowest
-    # nonempty row at k+1 (the set at k lies inside that at k+1), and an
-    # edge lowers that field or empties it and sets rows only in lower
-    # fields, so the int strictly falls along every edge.
-    if gapless:
-        key = [space.height(node[0]) for node in index]
-    else:
-        key = [node[1] for node in index]
-    order = sorted(range(len(edges)), key=key.__getitem__)
-    del index, key
-    # Each productive node (a kill node, or one with a productive child) is
-    # renumbered and kept as (kill flag, path count, productive children as
-    # (label, number) pairs).  Those tuples hold only str and int, so the
-    # cyclic collector stops scanning them, and `edges` dies on return.
-    number = [-1] * len(edges)
-    nodes: list[tuple] = []
-    for i in order:
-        children = [(label, number[j]) for label, j in edges[i] if number[j] >= 0]
-        is_kill = kill_flags[i]
-        if is_kill or children:
-            count = is_kill
-            for _, child in children:
-                count += nodes[child][1]
-            number[i] = len(nodes)
-            nodes.append((is_kill, count, tuple(children)))
+                number.append(-1)
+            if edges[j] is None:
+                stack.append(j)
     if number[0] < 0:
         return frozenset(), ((),) * m, truncated
     kill = KillSet(labels, tuple(nodes), number[0])

@@ -28,6 +28,7 @@ from .lts import (
     CHOICE_INITIAL,
     Lts,
     choice,
+    choice_state,
     emit_aut,
     format_state,
     interleave,
@@ -99,9 +100,9 @@ def _renaming(lhs: Lts, rhs: Lts, left_init, right_init) -> Optional[dict]:
         if l == left_init and r == right_init:
             mapping[s] = CHOICE_INITIAL
         elif r == right_init:
-            mapping[s] = "L:" + format_state(l)
+            mapping[s] = choice_state("L", l)
         elif l == left_init:
-            mapping[s] = "R:" + format_state(r)
+            mapping[s] = choice_state("R", r)
         else:
             return None
     image = set(mapping.values())

@@ -49,8 +49,8 @@ class Lts:
 
     What is derived from the system is computed on first use and kept in
     its one memo, which lives and dies with it: the successor index
-    ("out"), the reachable states ("reachable"), the heights of the
-    reachable states ("heights"), the last product it was interleaved into
+    ("out"), the reachable states ("reachable"), the longest path of the
+    reachable part ("longest"), the last product it was interleaved into
     as the left component ("product"), the states satisfying each formula
     asked about (keyed by the formula) and each cause set (keyed by formula
     and bound).  A system that is only compared or hashed never pays for
@@ -184,30 +184,26 @@ def interleave(left: Lts, right: Lts) -> Lts:
 CHOICE_INITIAL = "+"
 
 
+def choice_state(side: str, s: State) -> str:
+    """The name `choice` gives state s of its left ("L") or right ("R")
+    operand."""
+    return side + ":" + format_state(s)
+
+
 def choice(left: Lts, right: Lts) -> Lts:
     """Nondeterministic choice with a fresh initial state, restricted to the
     reachable part.
 
     The fresh initial offers the first steps of both operands; afterwards the
-    chosen side runs alone.  Operand states are namespaced L:/R: so equal ids
-    on the two sides never clash.
+    chosen side runs alone.  Operand states are namespaced L:/R: by
+    `choice_state`, so equal ids on the two sides never clash.
     """
-
-    def lid(s: State) -> str:
-        return "L:" + format_state(s)
-
-    def rid(s: State) -> str:
-        return "R:" + format_state(s)
-
     transitions: set = set()
-    for label, dst in left.outgoing(left.initial):
-        transitions.add((CHOICE_INITIAL, label, lid(dst)))
-    for label, dst in right.outgoing(right.initial):
-        transitions.add((CHOICE_INITIAL, label, rid(dst)))
-    for src, label, dst in left.transitions:
-        transitions.add((lid(src), label, lid(dst)))
-    for src, label, dst in right.transitions:
-        transitions.add((rid(src), label, rid(dst)))
+    for side, operand in (("L", left), ("R", right)):
+        for label, dst in operand.outgoing(operand.initial):
+            transitions.add((CHOICE_INITIAL, label, choice_state(side, dst)))
+        for src, label, dst in operand.transitions:
+            transitions.add((choice_state(side, src), label, choice_state(side, dst)))
 
     full = make_lts(
         CHOICE_INITIAL,
@@ -231,19 +227,15 @@ def longest_acyclic_path(lts: Lts) -> Optional[int]:
     """Transition count of the longest path in the reachable part, or None
     when the reachable part contains a cycle.  Every path there extends
     back to the initial state, so that is the initial state's height."""
-    return _state_heights(lts).get(lts.initial)
-
-
-def _state_heights(lts: Lts) -> dict:
-    """Each reachable state from which no cycle is reachable, mapped to the
-    transition count of the longest path out of it."""
-    found = lts._memo.get("heights")
-    if found is None:
-        found = lts._memo["heights"] = _settle(lts)
-    return found
+    memo = lts._memo
+    if "longest" not in memo:
+        memo["longest"] = _settle(lts).get(lts.initial)
+    return memo["longest"]
 
 
 def _settle(lts: Lts) -> dict:
+    """Each reachable state from which no cycle is reachable, mapped to the
+    transition count of the longest path out of it."""
     keep = reachable_states(lts)
     before: dict[State, list] = {s: [] for s in keep}
     waiting = {}

@@ -22,6 +22,7 @@ from hmlcause import (
     cross_check_disjunction_lifting,
     gen_effect,
     emit_aut,
+    exploration_is_exact,
     gen_lts,
     interleave,
     Computation,
@@ -440,50 +441,43 @@ def _acyclic(drawn: Lts) -> Lts:
     )
 
 
-def test_kernel_matches_the_reference_at_and_just_below_the_exact_bound(
-    monkeypatch,
-):
-    # at k = the longest path the kernel keeps no gaps and orders its DAG
-    # by the heights of the reached sets; at one less it keeps gap fields.
-    # Only the first reads heights, and the draws must judge cores with both
-    heights = _StateSets.height
-    reads = []
-
-    def counted(self, mask):
-        reads.append(mask)
-        return heights(self, mask)
-
-    monkeypatch.setattr(_StateSets, "height", counted)
+def test_kernel_matches_the_reference_at_and_just_below_the_exact_bound():
+    # at k = the longest path the kernel keeps no gaps; at one less it keeps
+    # gap fields.  The kernel picks its encoding as `exploration_is_exact`
+    # does, and the draws must judge cores with both
     judged_at = {True: 0, False: 0}
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(system=_systems())
     def check(system):
         drawn = _acyclic(system[0])
-        longest = longest_acyclic_path(_with_an_escape(drawn))
+        lts = _with_an_escape(drawn)
+        longest = longest_acyclic_path(lts)
+        assert _StateSets(lts, frozenset()).longest == longest
         alphabet = sorted(drawn.alphabet)
         cores = [*itertools.product(alphabet, repeat=1)]
         cores += itertools.product(alphabet, repeat=2)
         for k in (longest - 1, longest):
-            reads.clear()
-            judged = _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores)
-            if judged:
-                judged_at[k == longest] += judged
-                assert bool(reads) == (k == longest)
+            gapless = exploration_is_exact(lts, k)
+            assert gapless == (k == longest)
+            judged_at[gapless] += _assert_kernel_matches_on_cores_that_can_escape(
+                drawn, k, cores
+            )
 
     check()
     assert judged_at[True] and judged_at[False]
 
 
 def test_kernel_judges_a_long_chain_at_its_exact_bound():
-    # 5,000 states in a row: the heights and the DAG order must come out
-    # without recursion.  The word-level reference would spell 12.5 million
-    # letters here, so the result is given in closed form: the effect holds
-    # everywhere but at the end, so the one kill word is the whole chain
+    # 5,000 states in a row, so the depth-first finish walks a DAG 5,000
+    # nodes deep, without recursion.  The word-level reference would spell
+    # 12.5 million letters here, so the result is given in closed form: the
+    # effect holds everywhere but at the end, so the one kill word is the
+    # whole chain
     n = 5000
     lts = make_lts(0, [(i, "a", i + 1) for i in range(n)])
     space = _StateSets(lts, frozenset(range(n)))
-    assert space.height(space.initial) == space.longest == n
+    assert space.longest == n
     kill, dlists, truncated = _evaluate_core(space, ("a",), n)
     assert len(kill) == 1 and not truncated
     assert set(kill) == {("a",) * n}
