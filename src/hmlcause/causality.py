@@ -114,10 +114,10 @@ def _require_valid_core(lts: Lts, core: Core) -> None:
 
 
 class _StateSets:
-    """One system's states numbered once, state sets as int bitmasks, and
-    the one-letter moves out of each set memoised per set, and the states
-    that can still finish a core and leave the effect memoised per core
-    suffix.
+    """One system's states numbered once, state sets as int bitmasks, the
+    mask of the states that have a move, the one-letter moves out of each
+    set memoised per set, and the states that can still finish a core and
+    leave the effect memoised per core suffix.
 
     An instance lives for one `causes` or `cause_candidate` call and is
     shared by every core that call judges.  It is not kept in the system's
@@ -136,6 +136,7 @@ class _StateSets:
         self._rows = succ
         self._succ = sorted(succ.items())
         self._moves: dict[int, tuple] = {}
+        self.movable = sum(1 << index[s] for s in {t[0] for t in lts.transitions})
         self.initial = 1 << index[lts.initial]
         self.sat = sum(1 << index[s] for s in sat)
         self.reachable = sum(1 << index[s] for s in reachable_states(lts))
@@ -144,18 +145,17 @@ class _StateSets:
 
     def moves(self, mask: int) -> tuple:
         """(label, successor set) for every label some state of mask enables,
-        in label order."""
-        found = self._moves.get(mask)
-        if found is None:
-            bits = _bits(mask)
-            found = []
-            for label, row in self._succ:
-                nxt = 0
-                for i in bits:
-                    nxt |= row[i]
-                if nxt:
-                    found.append((label, nxt))
-            found = self._moves[mask] = tuple(found)
+        in label order, kept in the `_moves` memo, which the kernel reads
+        itself before it asks here."""
+        bits = _bits(mask)
+        found = []
+        for label, row in self._succ:
+            nxt = 0
+            for i in bits:
+                nxt |= row[i]
+            if nxt:
+                found.append((label, nxt))
+        found = self._moves[mask] = tuple(found)
         return found
 
     def live(self, word: Word) -> list[int]:
@@ -249,7 +249,10 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     unexplored.  Nothing that counts is lost, so the verdict, the kill set,
     the extension lists and the truncated flag are those of the whole DAG.
     The test is skipped when the mask of row 1, the smallest of those a
-    child can use, holds every reachable state.
+    child can use, holds every reachable state.  A child none of whose
+    states has a move, a dead end, is judged where it is found, each time,
+    and kept nowhere: on a cyclic bound about half the nodes are dead ends,
+    since each step of an unrolled loop can also step out of it.
 
     A node is a function of the word, so every word follows exactly one
     path.  A word reaches the same states whatever the bound and the
@@ -299,24 +302,30 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     # nonempty row at k+1 either loses gap budget or empties, and rows are
     # set only at higher consumed counts.  So a depth-first search that
     # pushes a node's unexpanded children above its ~i marker finishes each
-    # node after every node it reaches.  Each node is numbered when first
-    # found, and its key, its children (None until it is expanded, dropped
-    # when it finishes) and its kill flag are kept in lists under that
-    # number.  Each productive node (a kill node, or one with a productive
-    # child) is renumbered when it finishes and kept as (kill flag, path
-    # count, productive children as (label, number) pairs).  Those tuples
-    # hold only str and int, so the cyclic collector stops scanning them,
-    # and the lists die on return.
-    sat = space.sat
+    # node after every node it reaches.  Each node is judged and numbered
+    # when first found, and its key, its children (None until it is
+    # expanded, dropped when it finishes) and its kill flag are kept in
+    # lists under that number.  A dead end, a child whose reached states
+    # have no move, is judged each time it is found and never enters the
+    # lists: slot 0 stands for every one that kills, and the root is slot 1.
+    # Each productive node (a kill node, or one with a productive child) is
+    # renumbered when it finishes and kept as (kill flag, path count,
+    # productive children as (label, number) pairs); the killing dead ends
+    # share one such leaf, numbered when first needed.  Those tuples hold
+    # only str and int, so the cyclic collector stops scanning them, and
+    # the lists die on return.
+    sat, movable, known = space.sat, space.movable, space._moves.get
+    if not m and not space.initial & sat:
+        return None  # the empty core's own word is the root's
     root = (space.initial, start, 0)
-    index = {root: 0}
-    keys = [root]
-    edges: list = [None]
-    kill_flags = [False]
-    number = [-1]
+    index = {root: 1}
+    keys = [None, root]
+    edges: list = [(), None]
+    kill_flags = [True, False]
+    number = [-1, -1]
     nodes: list[tuple] = []
     truncated = False
-    stack = [0]
+    stack = [1]
     while stack:
         i = stack.pop()
         if i < 0:
@@ -334,26 +343,15 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
         if edges[i] is not None:
             continue  # already expanded below another parent
         reached, positions, length = keys[i]
-        inside = reached & sat
-        if positions & accepting:
-            if length == m:
-                if inside != reached:
-                    return None
-            elif not inside:
-                kill_flags[i] = True
-            elif inside != reached:
-                return None
-        elif positions & accepting_next and inside != reached:
-            truncated = True
         out = edges[i] = []
         stack.append(~i)
-        longer = min(length + 1, m + 1)
+        longer = length + (length <= m)
         if gapless:
             grown = positions & ~1
         else:
             # every gap grows: each nonzero field loses one
             grown = positions - (((positions + values) & guards) >> B)
-        for label, nxt in space.moves(reached):
+        for label, nxt in known(reached) or space.moves(reached):
             moved = positions & advance.get(label, 0)
             if gapless:
                 nxt_positions = grown | moved << 1
@@ -367,19 +365,39 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
                 continue
             if prune and not nxt & live_at[nxt_positions.bit_length() - 1]:
                 continue
-            child = (nxt, nxt_positions, longer)
-            j = index.setdefault(child, len(keys))
-            out.append((label, j))
-            if j == len(keys):
+            j = 0
+            if nxt & movable:
+                child = (nxt, nxt_positions, longer)
+                j = index.setdefault(child, len(keys))
+                out.append((label, j))
+                if j < len(keys):
+                    if edges[j] is None:
+                        stack.append(j)
+                    continue
                 keys.append(child)
                 edges.append(None)
                 kill_flags.append(False)
                 number.append(-1)
-            if edges[j] is None:
                 stack.append(j)
-    if number[0] < 0:
+            # a new node or a dead end is judged.  Only one accepted at k+1
+            # that reaches a state outside the effect counts: accepted at
+            # k+1 only, it truncates; accepted at k (so at k+1 too), it
+            # fails AC2(b) as the core word or by straddling, or else kills
+            if nxt_positions & accepting_next and nxt & sat != nxt:
+                if not nxt_positions & accepting:
+                    truncated = True
+                elif longer == m or nxt & sat:
+                    return None
+                elif j:
+                    kill_flags[j] = True
+                else:
+                    if number[0] < 0:
+                        number[0] = len(nodes)
+                        nodes.append((True, 1, ()))
+                    out.append((label, 0))
+    if number[1] < 0:
         return frozenset(), ((),) * m, truncated
-    kill = KillSet(labels, tuple(nodes), number[0])
+    kill = KillSet(labels, tuple(nodes), number[1])
     return kill, ExtensionLists(kill), truncated
 
 

@@ -366,11 +366,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError:
+        # matched first, as matching a tuple of classes builds a tuple, and
+        # that can fail again while the traceback still holds the analysis
+        pass
     except (OSError, ValueError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        pass
     # only a MemoryError gets here; its traceback, and the analysis the
     # traceback kept alive, are freed once the handler is left
     print("error: out of memory", file=sys.stderr)

@@ -54,7 +54,9 @@ class Lts:
     as the left component ("product"), the states satisfying each formula
     asked about (keyed by the formula) and each cause set (keyed by formula
     and bound).  A system that is only compared or hashed never pays for
-    them, and a value-equal but distinct system computes its own.
+    them, and a value-equal but distinct system computes its own.  A
+    product of `interleave` is born with "reachable" and "longest", which
+    follow from its components'.
     """
 
     states: frozenset
@@ -154,6 +156,9 @@ def interleave(left: Lts, right: Lts) -> Lts:
     every check of the pair.  Only the last is kept, so a component
     interleaved with many others, as in counterexample shrinking, holds one
     product at a time, and the product is freed with its left component.
+    The product's memo starts with its reachable states, every pair, and
+    its longest path, the sum of the sides' (a path is the two sides' paths
+    interleaved), or None when either side has a cycle.
     """
     kept = left._memo.get("product")
     if kept is not None and kept[0] == right:
@@ -177,6 +182,9 @@ def interleave(left: Lts, right: Lts) -> Lts:
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
+    ends = longest_acyclic_path(left), longest_acyclic_path(right)
+    product._memo["reachable"] = product.states
+    product._memo["longest"] = None if None in ends else sum(ends)
     left._memo["product"] = (right, product)
     return product
 

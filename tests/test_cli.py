@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 from helpers import FIXTURE_DIR, ROOT
 from hmlcause import parse_aut
+from hmlcause import cli
 from hmlcause.cli import main
 from hmlcause.hml import MAX_FORMULA_DEPTH
 
@@ -428,6 +431,22 @@ def test_verify_requires_theorem_flag():
     with pytest.raises(SystemExit) as exc:
         main(["verify", F3L, F3R, "<h>tt", "<h'>tt"])
     assert exc.value.code == 2
+
+
+def test_running_out_of_memory_ends_in_one_error_line(monkeypatch, capsys):
+    # MemoryError is the first clause matched: matching a tuple of classes
+    # builds a tuple, which can fail again while the traceback still holds
+    # the analysis, and that second MemoryError would escape with exit 1
+    source = ast.parse(inspect.getsource(cli.main))
+    (handled,) = [node for node in ast.walk(source) if isinstance(node, ast.Try)]
+    assert ast.unparse(handled.handlers[0].type) == "MemoryError"
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_dot", exhausted)
+    code, out, err = run(capsys, "dot", T1)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------- misc

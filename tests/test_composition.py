@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from hmlcause import (
     parse_aut,
     parse_formula,
     shrink_counterexample,
+    states_satisfying,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
     write_counterexample_bundle,
@@ -212,32 +214,46 @@ def test_conjunction_law_counts_kill_words_without_spelling_them(monkeypatch):
     ]
 
 
-def _count_dag_nodes(monkeypatch) -> list:
-    """Count, in the returned list's one entry, the DAG nodes that the cause
-    sets computed from here on build.  The explore loop reads the moves of
-    each node once."""
-    moves = causality._StateSets.moves
-    calls = [0]
+def _count_dag_work(monkeypatch) -> dict:
+    """Count what the kernel does for the cause sets computed from here on:
+    "nodes", the DAG nodes that enter its tables, each expanded by one read
+    of the moves memo, and "dead ends", the children whose reached states
+    have no move, each judged where it is found by one AND with the mask of
+    the states that can move that comes out 0."""
+    counts = {"nodes": 0, "dead ends": 0}
 
-    def counted(self, mask):
-        calls[0] += 1
-        return moves(self, mask)
+    class Memo(dict):
+        def get(self, mask, default=None):
+            counts["nodes"] += 1
+            return super().get(mask, default)
 
-    monkeypatch.setattr(causality._StateSets, "moves", counted)
-    return calls
+    class Movable(int):
+        def __rand__(self, other):
+            found = int(self) & other
+            counts["dead ends"] += not found
+            return found
+
+    init = causality._StateSets.__init__
+
+    def counted(self, lts, sat):
+        init(self, lts, sat)
+        self._moves, self.movable = Memo(), Movable(self.movable)
+
+    monkeypatch.setattr(causality._StateSets, "__init__", counted)
+    return counts
 
 
 def test_the_shape_dag_keeps_one_position_per_consumed_count(monkeypatch):
     # with every gap of a consumed count kept, the "both effects" cores at
     # bound 4 build 70,380 nodes, and with only the smallest one 18,704.
     # The count is exact, so a node expanded twice or skipped shows
-    calls = _count_dag_nodes(monkeypatch)
+    counts = _count_dag_work(monkeypatch)
     left, right = cyclic_pair()
     both = EffectContext(
         interleave(left.lts, right.lts), And(left.formula, right.formula)
     )
     found = causes(both, 4).causes
-    assert calls[0] == 18_704
+    assert counts == {"nodes": 18_704, "dead ends": 0}
     assert len(found) == 6
     assert sum(len(r.kill_traces) for r in found) == 24_347_733
 
@@ -248,15 +264,49 @@ def test_the_shape_dag_keeps_no_gap_at_an_exact_bound(monkeypatch):
     # its "either effect" cores build 667 nodes with gap values in the node
     # key and 166 with one bit per consumed count.  Exploring only the live
     # part, they build 49 with gap values and 20 without
-    calls = _count_dag_nodes(monkeypatch)
+    counts = _count_dag_work(monkeypatch)
     inst = list(corpus(4, seed=7))[3]
     product = interleave(inst.left.lts, inst.right.lts)
     either = EffectContext(product, Or(inst.left.formula, inst.right.formula))
     assert causality.exploration_is_exact(product, inst.bound)
     found = causes(either, inst.bound).causes
-    assert calls[0] == 20
+    assert counts == {"nodes": 20, "dead ends": 0}
     assert len(found) == 4
     assert sum(len(r.kill_traces) for r in found) == 25
+
+
+def test_the_loop_fixture_keeps_its_dead_ends_out_of_the_tables(monkeypatch):
+    # t5 is s0 -a-> s1 with an i-loop on s1 and s1 -h-> s2.  At k=1200 the
+    # core a has 1,203 nodes (the root, then a i^j for j <= k+1) and 1,201
+    # dead ends (a i^j h for j <= k, the last one only at k+1), which used
+    # to enter the tables too, 2,404 nodes in all
+    counts = _count_dag_work(monkeypatch)
+    ctx = fixture_context("t5")
+    (report,) = causes(ctx, 1200).causes
+    assert counts == {"nodes": 1_203, "dead ends": 1_201}
+    assert report.computation.labels == ("a",) and report.computation.truncated
+    assert len(report.kill_traces) == 1200
+    assert report.kill_traces == {("a",) + ("i",) * j + ("h",) for j in range(1200)}
+
+
+def test_the_loop_fixture_judges_its_dead_ends_in_less_memory():
+    # the tracemalloc peak of one kernel call on t5 at k=1200, each call on
+    # a fresh state space as `causes` makes one, the least of three calls
+    # (the first calls in a process peak higher).  While the 1,201 dead
+    # ends entered the tables it was 659,608 bytes on Python 3.11
+    ctx = fixture_context("t5")
+    sat = states_satisfying(ctx.lts, ctx.formula)
+    peaks = []
+    for _ in range(3):
+        space = causality._StateSets(ctx.lts, sat)
+        tracemalloc.start()
+        try:
+            kill, _, truncated = causality._evaluate_core(space, ("a",), 1200)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(kill) == 1200 and truncated
+    assert min(peaks) < 0.6 * 659_608
 
 
 def test_cli_verifies_the_conjunction_law_on_the_cyclic_pair(tmp_path, capsys):
@@ -373,8 +423,9 @@ for report in causes(ctx, 30000).causes:
 @linux_only
 def test_causes_of_the_loop_fixture_at_a_large_bound_fit_in_bounded_memory():
     # t5 is s0 -a-> s1 with an i-loop on s1 and s1 -h-> s2: the one cause a
-    # has the kill words a i^j h for j < k, and its DAG about 2k nodes, each
-    # keyed by an int whose size grows with log k only
+    # has the kill words a i^j h for j < k, and its DAG about k nodes, each
+    # keyed by an int whose size grows with log k only, and about k dead
+    # ends, judged where they are found
     argv = [sys.executable, "-c", _T5_AT_30000, str(ROOT / "fixtures" / "t5.aut")]
     done = _run_in_300_mb(argv)
     assert (done.returncode, done.stdout) == (0, "a True 30000\n"), done.stderr
@@ -382,7 +433,7 @@ def test_causes_of_the_loop_fixture_at_a_large_bound_fit_in_bounded_memory():
 
 @linux_only
 def test_a_bound_too_large_to_finish_ends_in_one_error_line():
-    # t5's DAG at this bound has about 2k nodes, so memory runs out first
+    # t5's DAG at this bound keeps about k nodes, so memory runs out first
     t5 = str(ROOT / "fixtures" / "t5.aut")
     argv = [sys.executable, "-m", "hmlcause", "causes", t5, "<h>tt"]
     argv += ["--bound", "99999999999999999999"]

@@ -205,6 +205,23 @@ def test_interleave_matches_a_breadth_first_search(left, right):
     assert emit_aut(product) == emit_aut(searched)
 
 
+# a cycle on one side only, and a label shared by both sides
+@example(
+    left=(make_lts("s0", [("s0", "a", "s1"), ("s1", "b", "s0")]), frozenset()),
+    right=(make_lts("s0", [("s0", "a", "s1"), ("s1", "c", "s2")]), frozenset()),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(left=_systems(), right=_systems())
+def test_a_product_is_born_with_its_reachable_states_and_longest_path(left, right):
+    # a value-equal copy starts with an empty memo, so it searches for both
+    product = interleave(left[0], right[0])
+    fresh = Lts(product.states, product.initial, product.alphabet, product.transitions)
+    assert "reachable" in product._memo and "longest" in product._memo
+    assert reachable_states(product) == reachable_states(fresh)
+    assert longest_acyclic_path(product) == longest_acyclic_path(fresh)
+    assert longest_acyclic_path(fresh) == brute_longest_acyclic_path(fresh)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     system=_systems(),
@@ -482,6 +499,82 @@ def test_kernel_judges_a_long_chain_at_its_exact_bound():
     assert len(kill) == 1 and not truncated
     assert set(kill) == {("a",) * n}
     assert dlists == ((("a",) * (n - 1),),)
+
+
+# Dead ends, nodes whose states have no move, in every role the kernel
+# judges them in: (transitions, effect, cores).  x, y and d_out are outside
+# the effect.
+_DEAD_ENDS = {
+    # a b reaches d_in inside the effect and d_out outside, neither moves
+    "straddle": (
+        [("s0", "a", "s1"), ("s1", "b", "d_in"), ("s1", "b", "d_out")],
+        {"s1", "d_in"},
+        [("a",)],
+    ),
+    # the core word reaches a dead end: a b reaches s2 alone, inside the
+    # effect, and in the next system a reaches s1 alone, outside it
+    "core inside": (
+        [("s0", "a", "s1"), ("s0", "a", "s3"), ("s3", "b", "s2"), ("s3", "h", "x")],
+        {"s1", "s2", "s3"},
+        [("a", "b")],
+    ),
+    "core outside": (
+        [("s0", "a", "s1"), ("s0", "b", "s2"), ("s2", "h", "x")],
+        {"s0", "s2"},
+        [("a",)],
+    ),
+    # a i^j h for j < 3: at k < 3, a i^k h has gap k+1 only
+    "truncating": (
+        [("s0", "a", "s1"), ("s1", "i", "s2"), ("s2", "i", "s3")]
+        + [(f"s{j}", "h", "x") for j in (1, 2, 3)],
+        {"s1", "s2", "s3"},
+        [("a",), ("a", "i")],
+    ),
+    # x is the child of s2, s3 and s4 under h or g, and y of s2 under g
+    "shared kill": (
+        [("s0", "a", "s1"), ("s1", "b", "s2"), ("s1", "c", "s3"), ("s2", "d", "s3")]
+        + [("s1", "b", "s4"), ("s2", "g", "y"), ("s4", "g", "x")]
+        + [(s, "h", "x") for s in ("s2", "s3", "s4")],
+        {"s1", "s2", "s3", "s4"},
+        [("a",), ("a", "b")],
+    ),
+}
+
+
+@pytest.mark.parametrize("role", sorted(_DEAD_ENDS))
+def test_kernel_judges_dead_ends_where_it_finds_them(role):
+    # each system as drawn and with a z-loop on s0, which makes it cyclic
+    # but adds no shaped word; the acyclic one has its longest path at 4 or
+    # less, so k = 0..4 judges it in both encodings
+    transitions, effect, cores = _DEAD_ENDS[role]
+    encodings = set()
+    for loop in ([], [("s0", "z", "s0")]):
+        lts = make_lts("s0", transitions + loop)
+        space = _StateSets(lts, frozenset(effect))
+        for labels, k in itertools.product(cores, range(5)):
+            encodings.add(exploration_is_exact(lts, k))
+            universe = shaped_words(lts, labels, k)
+            universe_next = shaped_words(lts, labels, k + 1)
+            evaluated = _evaluate_core(space, labels, k)
+            if role == "shared kill" and len(evaluated[0]):
+                # every killing dead end is the one leaf; its parents count it
+                leaves = [node for node in evaluated[0]._nodes if not node[2]]
+                assert leaves == [(True, 1, ())]
+            reference = _word_level_evaluate(universe, universe_next, effect, labels)
+            if evaluated is None or reference is None:
+                assert evaluated == reference
+                assert role == "straddle" and k or role == "core outside"
+                continue
+            kill, _, truncated = evaluated
+            _assert_same_kills_and_lists(
+                evaluated, reference, _probes(universe_next, labels)
+            )
+            if role == "straddle":
+                assert truncated and not kill  # a b straddles at k+1 only
+            if role == "truncating" and labels == ("a",):
+                assert truncated == (k < 3)
+            assert evaluated == reference
+    assert encodings == {True, False}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

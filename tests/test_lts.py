@@ -17,6 +17,7 @@ from reference import (
     brute_longest_acyclic_path,
     project_word,
     reach,
+    searched_interleave,
     subwords,
     successors,
 )
@@ -312,7 +313,8 @@ def test_longest_acyclic_path_leaves_the_recursion_limit_alone(monkeypatch):
 
 def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
     # the laws, the lemmas and the oracle ask each system, component or
-    # product, for its reachable states and its longest path many times
+    # product, for its reachable states and its longest path many times.
+    # A component computes each once; a product is born with both
     seen: list = []
     counts: dict = {}
 
@@ -337,11 +339,14 @@ def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
     for ctx in (left, right, EffectContext(product, left.formula)):
         for report in causes(ctx, k).causes:
             assert oracle_check_cause(ctx, report.computation, k)
-    assert any(system is product for system in seen)
     assert any(system is left.lts for system in seen)
     assert set(counts.values()) == {1}
     for system in seen:
         assert longest_acyclic_path(system) == brute_longest_acyclic_path(system)
+    assert longest_acyclic_path(product) == brute_longest_acyclic_path(product)
+    searched = searched_interleave(left.lts, right.lts)
+    assert reachable_states(product) == searched.states
+    assert not any(system is product for system in seen)
 
 
 def test_restrict_to_reachable_drops_orphans():
