@@ -242,6 +242,8 @@ def _verify_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from dataclasses import asdict
+
     from .causality import default_bound, exploration_is_exact
     from .composition import _precondition_report, check_preconditions
     from .hml import EffectContext
@@ -280,11 +282,8 @@ def cmd_verify(args) -> int:
             print(
                 json.dumps(
                     {
-                        "lifting": {"ok": lifting.ok, "detail": lifting.detail},
-                        "single_component": {
-                            "ok": single.ok,
-                            "detail": single.detail,
-                        },
+                        "lifting": asdict(lifting),
+                        "single_component": asdict(single),
                         "bound": k,
                     },
                     indent=2,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .causality import causal_projection, causes, default_bound
@@ -79,13 +79,7 @@ class TheoremReport:
     bound: int
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "counterexample": self.counterexample,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def _renaming(lhs: Lts, rhs: Lts, left_init, right_init) -> Optional[dict]:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .lts import Lts, State, format_state, valid_label
+from .lts import LABEL_RE, Lts, State, format_state
 
 
 class Formula:
@@ -80,50 +81,41 @@ class FormulaParseError(ValueError):
     """Raised with a position when a formula text cannot be parsed."""
 
     def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)
         self.position = position
 
+    def __str__(self) -> str:
+        message, position = self.args
+        return f"{message} (at position {position})"
 
-_PUNCT = set("<>[]!&|()")
 
 # Satisfaction, formatting, equality and a node's first hash recurse once per
 # nesting level, so a parsed formula deeper than this is rejected before it
 # reaches them.
 MAX_FORMULA_DEPTH = 100
 
+# One token after any whitespace: a word, which is a label by the pattern
+# AUT labels follow; one reserved character; or the end of the text.
+_TOKEN = re.compile(rf"\s*(?:({LABEL_RE.pattern})|(\S)|\Z)")
 
-class _Tokenizer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _tokens(text: str):
+    """(word, reserved character, position) of each token in order; the
+    end of the text has neither.  A quote is an error where it is read."""
+    for token in _TOKEN.finditer(text):
+        word, char = token.groups()
+        at = token.start(token.lastindex) if token.lastindex else len(text)
+        if char == '"':
+            raise FormulaParseError("unexpected quote character", at)
+        yield word, char, at
 
-    def peek(self) -> tuple[str, str, int]:
-        """(kind, value, position); kind is 'punct', 'word' or 'end'."""
-        self._skip_ws()
-        start = self.pos
-        if start >= len(self.text):
-            return ("end", "", start)
-        ch = self.text[start]
-        if ch in _PUNCT:
-            return ("punct", ch, start)
-        if ch == '"':
-            raise FormulaParseError("unexpected quote character", start)
-        end = start
-        while end < len(self.text):
-            c = self.text[end]
-            if c.isspace() or c in _PUNCT or c == '"':
-                break
-            end += 1
-        return ("word", self.text[start:end], start)
 
-    def take(self) -> tuple[str, str, int]:
-        kind, value, start = self.peek()
-        self.pos = start + (len(value) if value else 0)
-        return (kind, value, start)
+def _join(node, left, right):
+    """node(left, right) of two (formula, depth) pairs, as a pair; a missing
+    left operand leaves the right one alone."""
+    if left is None:
+        return right
+    return node(left[0], right[0]), 1 + max(left[1], right[1])
 
 
 def parse_formula(text: str) -> Formula:
@@ -132,119 +124,81 @@ def parse_formula(text: str) -> Formula:
     Grammar: tt, ff, <label>F, [label]F, !F, F & F, F | F and parentheses.
     Negation and the modalities bind tighter than conjunction, which binds
     tighter than disjunction; the binary operators associate to the left.
-    `ff` is shorthand for `!tt` and has no node of its own.  A formula that
-    nests deeper than MAX_FORMULA_DEPTH nodes is rejected.
+    `ff` is shorthand for `!tt` and has no node of its own.  A label is
+    what `valid_label` accepts, and whitespace around a token is skipped.
+
+    One pass over the tokens builds the tree, keeping the open parentheses
+    on a stack of its own, so nesting never deepens the Python stack.  Each
+    node is built with its depth, and a formula that nests deeper than
+    MAX_FORMULA_DEPTH nodes is rejected once the whole text has parsed.
     """
-    tok = _Tokenizer(text)
-    formula = _parse(tok)
-    kind, value, pos = tok.peek()
-    if kind != "end":
-        raise FormulaParseError(f"unexpected {value!r} after formula", pos)
-    if _depth(formula) > MAX_FORMULA_DEPTH:
+    # Per open parenthesis: the prefix operators waiting for an operand, as
+    # (node class, *label), and the disjunction and conjunction built so
+    # far, as (formula, depth) pairs.
+    outer = []
+    prefixes, disjunction, conjunction = [], None, None
+    want_operand = True
+    tokens = _tokens(text)
+    for word, char, at in tokens:
+        if want_operand:
+            if char == "(":
+                outer.append((prefixes, disjunction, conjunction))
+                prefixes, disjunction, conjunction = [], None, None
+                continue
+            if char == "!":
+                prefixes.append((Not,))
+                continue
+            if char == "<" or char == "[":
+                closing = ">" if char == "<" else "]"
+                label, close, at = next(tokens)
+                if close == closing:
+                    raise FormulaParseError("empty label inside a modality", at)
+                if label is None:
+                    raise FormulaParseError("expected a label inside the modality", at)
+                _, close, at = next(tokens)
+                if close != closing:
+                    raise FormulaParseError(
+                        f"expected {closing!r} to close the modality", at
+                    )
+                prefixes.append((Diamond if char == "<" else Box, label))
+                continue
+            if word == "tt":
+                operand = TT, 1
+            elif word == "ff":
+                operand = FF, 2
+            elif word or char:
+                raise FormulaParseError(f"unexpected {word or char!r}", at)
+            else:
+                raise FormulaParseError("unexpected end of input", at)
+        elif char == "&" or char == "|":
+            if char == "|":
+                disjunction, conjunction = _join(Or, disjunction, conjunction), None
+            want_operand = True
+            continue
+        elif char == ")" and outer:
+            operand = _join(Or, disjunction, conjunction)
+            prefixes, disjunction, conjunction = outer.pop()
+        elif outer:
+            raise FormulaParseError("expected ')'", at)
+        elif word or char:
+            raise FormulaParseError(f"unexpected {word or char!r} after formula", at)
+        else:
+            break
+        # a finished operand takes the prefixes waiting for it and joins
+        # the conjunction
+        formula, depth = operand
+        for node, *label in reversed(prefixes):
+            formula = node(*label, formula)
+        operand = formula, depth + len(prefixes)
+        prefixes = []
+        conjunction = _join(And, conjunction, operand)
+        want_operand = False
+    formula, depth = _join(Or, disjunction, conjunction)
+    if depth > MAX_FORMULA_DEPTH:
         raise FormulaParseError(
             f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", 0
         )
     return formula
-
-
-def _depth(f: Formula) -> int:
-    """Nodes on the longest root-to-leaf path, counted without recursion."""
-    deepest = 0
-    stack = [(f, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        match node:
-            case Diamond(_, body) | Box(_, body) | Not(body):
-                stack.append((body, depth + 1))
-            case And(left, right) | Or(left, right):
-                stack.extend(((left, depth + 1), (right, depth + 1)))
-    return deepest
-
-
-class _Group:
-    """One parenthesis level being parsed: the disjunction and conjunction
-    built so far and the prefix operators, as (node class, label), waiting
-    for the next operand."""
-
-    def __init__(self) -> None:
-        self.prefixes: list = []
-        self.conjunction = None
-        self.disjunction = None
-
-    def close(self) -> Formula:
-        if self.disjunction is None:
-            return self.conjunction
-        return Or(self.disjunction, self.conjunction)
-
-
-def _parse(tok: _Tokenizer) -> Formula:
-    """Operator-precedence parse of one formula with an explicit stack of
-    open parentheses, so nesting never deepens the Python stack."""
-    outer: list[_Group] = []
-    group = _Group()
-    while True:
-        kind, value, pos = tok.peek()
-        if kind == "punct" and value in "!<[(":
-            tok.take()
-            if value == "(":
-                outer.append(group)
-                group = _Group()
-            elif value == "!":
-                group.prefixes.append((Not, None))
-            else:
-                label = _parse_modality_label(tok, ">" if value == "<" else "]")
-                group.prefixes.append((Diamond if value == "<" else Box, label))
-            continue
-        if kind == "punct":
-            raise FormulaParseError(f"unexpected {value!r}", pos)
-        if kind == "end":
-            raise FormulaParseError("unexpected end of input", pos)
-        tok.take()
-        if value == "tt":
-            operand = TT
-        elif value == "ff":
-            operand = FF
-        else:
-            raise FormulaParseError(f"unexpected {value!r}", pos)
-        while True:
-            for node, label in reversed(group.prefixes):
-                operand = Not(operand) if node is Not else node(label, operand)
-            group.prefixes = []
-            if group.conjunction is None:
-                group.conjunction = operand
-            else:
-                group.conjunction = And(group.conjunction, operand)
-            kind, value, _ = tok.peek()
-            if kind == "punct" and value == "&":
-                tok.take()
-                break
-            if kind == "punct" and value == "|":
-                tok.take()
-                group.disjunction = group.close()
-                group.conjunction = None
-                break
-            if not outer:
-                return group.close()
-            kind, close, cpos = tok.take()
-            if kind != "punct" or close != ")":
-                raise FormulaParseError("expected ')'", cpos)
-            operand = group.close()
-            group = outer.pop()
-
-
-def _parse_modality_label(tok: _Tokenizer, closing: str) -> str:
-    kind, value, pos = tok.take()
-    if kind == "punct" and value == closing:
-        raise FormulaParseError("empty label inside a modality", pos)
-    if kind != "word":
-        raise FormulaParseError("expected a label inside the modality", pos)
-    if not valid_label(value):
-        raise FormulaParseError(f"invalid label {value!r}", pos)
-    kind, close, pos = tok.take()
-    if kind != "punct" or close != closing:
-        raise FormulaParseError(f"expected {closing!r} to close the modality", pos)
-    return value
 
 
 def _prec(f: Formula) -> int:

@@ -11,7 +11,10 @@ State = Union[str, int, tuple]
 Word = tuple[str, ...]
 Transition = tuple[State, str, State]
 
-_LABEL_FORBIDDEN = set('<>[]!&|()"')
+# A label: a nonempty run of characters that are neither whitespace nor the
+# formula grammar's reserved characters.  The formula parser reads its words
+# with this pattern too.
+LABEL_RE = re.compile(r'[^\s<>\[\]!&|()"]+')
 
 
 class AutParseError(ValueError):
@@ -19,11 +22,8 @@ class AutParseError(ValueError):
 
 
 def valid_label(label: str) -> bool:
-    """A label is a nonempty run of non-whitespace characters outside the
-    reserved formula punctuation."""
-    if not label:
-        return False
-    return all(not ch.isspace() and ch not in _LABEL_FORBIDDEN for ch in label)
+    """Whether the whole string is one label by `LABEL_RE`."""
+    return LABEL_RE.fullmatch(label) is not None
 
 
 def format_state(s: State) -> str:
@@ -99,11 +99,10 @@ def make_lts(
     initial: State,
     transitions: Iterable[Transition],
     extra_labels: Iterable[str] = (),
-    extra_states: Iterable[State] = (),
 ) -> Lts:
     """Build an Lts from a transition list, deriving states and alphabet."""
     transitions = frozenset(transitions)
-    states = {initial} | set(extra_states)
+    states = {initial}
     labels = set(extra_labels)
     for src, label, dst in transitions:
         states.add(src)

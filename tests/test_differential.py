@@ -156,7 +156,7 @@ def _systems(draw, letters="abc"):
         (f"s{draw(st.integers(0, i - 1))}", draw(label), f"s{i}")
         for i in range(1, reached)
     ] + draw(st.lists(st.tuples(state, label, state), max_size=9))
-    lts = make_lts("s0", transitions, extra_labels=labels, extra_states=states)
+    lts = Lts(frozenset(states), "s0", frozenset(labels), frozenset(transitions))
     return lts, frozenset(draw(st.sets(st.sampled_from(states))))
 
 
@@ -254,11 +254,11 @@ def test_kernel_matches_word_level_reference(system, k, longest):
 def _with_an_escape(drawn):
     """The drawn system with an e-step from every state into a fresh dead
     end x."""
-    return make_lts(
+    return Lts(
+        drawn.states | {"x"},
         drawn.initial,
-        [*drawn.transitions, *((s, "e", "x") for s in drawn.states)],
-        extra_labels=drawn.alphabet,
-        extra_states=drawn.states,
+        drawn.alphabet | {"e"},
+        drawn.transitions | {(s, "e", "x") for s in drawn.states},
     )
 
 
@@ -450,11 +450,11 @@ def _acyclic(drawn: Lts) -> Lts:
         if src not in reachable or int(src[1:]) < int(dst[1:])
     ]
     cycle = [("u0", "a", "u1"), ("u1", "b", "u0"), ("u1", "a", drawn.initial)]
-    return make_lts(
+    return Lts(
+        drawn.states | {"u0", "u1"},
         drawn.initial,
-        kept + cycle,
-        extra_labels=drawn.alphabet,
-        extra_states=drawn.states,
+        drawn.alphabet | {"a", "b"},
+        frozenset(kept + cycle),
     )
 
 

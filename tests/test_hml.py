@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import random
@@ -35,6 +36,8 @@ from hmlcause import (
     states_satisfying,
 )
 from hmlcause.cli import main
+from hmlcause.hml import MAX_FORMULA_DEPTH
+from hmlcause.lts import valid_label
 from hmlcause.testkit import fixture_context, fixtures
 from test_differential import _contexts
 
@@ -107,6 +110,79 @@ def test_parse_does_not_depend_on_the_callers_stack_depth():
 
 def test_whitespace_insignificant():
     assert parse_formula(" [ a ] tt ") == parse_formula("[a]tt")
+
+
+_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ('tt "', "unexpected quote character", 3),
+        ('<"a>tt', "unexpected quote character", 1),
+        ("tt x", "unexpected 'x' after formula", 3),
+        ("", "unexpected end of input", 0),
+        ("   ", "unexpected end of input", 3),
+        ("tt & ", "unexpected end of input", 5),
+        ("<>tt", "empty label inside a modality", 1),
+        ("[]tt", "empty label inside a modality", 1),
+        ("<&>tt", "expected a label inside the modality", 1),
+        ("<", "expected a label inside the modality", 1),
+        ("<a tt", "expected '>' to close the modality", 3),
+        ("[a>tt", "expected ']' to close the modality", 2),
+        ("(tt tt", "expected ')'", 4),
+        (")", "unexpected ')'", 0),
+        ("&tt", "unexpected '&'", 0),
+        (">tt", "unexpected '>'", 0),
+        ("x", "unexpected 'x'", 0),
+        (" & ".join(["tt"] * (MAX_FORMULA_DEPTH + 1)), _DEEP, 0),
+        ("!" * MAX_FORMULA_DEPTH + "tt", _DEEP, 0),
+        # the trailing word is reported before the depth
+        ("!" * MAX_FORMULA_DEPTH + "tt x", "unexpected 'x' after formula", 103),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(FormulaParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_a_formula_at_the_depth_limit_parses():
+    # the limit counts nodes: a chain of n conjuncts and n-1 negations of tt
+    # each nest n deep
+    assert parse_formula(" & ".join(["tt"] * MAX_FORMULA_DEPTH)) is not None
+    assert parse_formula("!" * (MAX_FORMULA_DEPTH - 1) + "tt") is not None
+
+
+def test_a_parse_error_survives_copy_and_pickle():
+    with pytest.raises(FormulaParseError) as err:
+        parse_formula("<a tt")
+    for clone in (copy.copy(err.value), pickle.loads(pickle.dumps(err.value))):
+        assert type(clone) is FormulaParseError
+        assert str(clone) == str(err.value) == "expected '>' to close the modality (at position 3)"
+        assert clone.position == 3
+
+
+@given(
+    st.text(
+        st.sampled_from('<>[]!&|()"' + " \t\n\x1c\x85\xa0 　" + "ab'_é")
+        | st.characters(categories=["Zs", "Zl", "Zp", "Cc"])
+    )
+)
+@example("a b")
+@example("a\xa0b")
+@example("h'")
+@example(" a\u2028")
+def test_a_modality_takes_exactly_the_labels_an_aut_file_takes(s):
+    # the formula grammar and the AUT label rule agree on every word; the
+    # whitespace around a label is not part of it
+    try:
+        formula = parse_formula(f"<{s}>tt")
+    except FormulaParseError:
+        assert not valid_label(s.strip())
+    else:
+        assert valid_label(s.strip()) and formula == Diamond(s.strip(), Top())
 
 
 # ---------------------------------------------------------------- alphabet
