@@ -36,7 +36,6 @@ _EXPORTS = {
         "Core",
         "computation_traces",
         "size_compatible",
-        "trivial_computation",
     ),
     "hml": (
         "And",

@@ -16,13 +16,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import AbstractSet, Optional
 
-from .computation import (
-    Computation,
-    Core,
-    computation_traces,
-    size_compatible,
-    trivial_computation,
-)
+from .computation import Computation, Core, computation_traces, size_compatible
 from .hml import EffectContext, format_formula, states_satisfying
 from .lts import (
     Lts,
@@ -138,6 +132,7 @@ class _StateSets:
         self._moves: dict[int, tuple] = {}
         self.movable = sum(1 << index[s] for s in {t[0] for t in lts.transitions})
         self.initial = 1 << index[lts.initial]
+        self.index = index
         self.sat = sum(1 << index[s] for s in sat)
         self.reachable = sum(1 << index[s] for s in reachable_states(lts))
         self._live: dict[Word, int] = {}
@@ -509,6 +504,32 @@ class ExtensionLists(Sequence):
         return repr(self._lists())
 
 
+# What `_judge` can find before minimality is asked
+_AC1_FAILS = ConditionReport(ac1=False)
+_AC2A_FAILS = ConditionReport(ac1=True, ac2a=False)
+_AC2B_FAILS = ConditionReport(ac1=True, ac2a=True, ac2b=False)
+_CANDIDATE = ConditionReport(ac1=True, ac2a=True, ac2b=True)
+
+
+def _judge(
+    space: _StateSets, states: tuple, labels: Word, k: int, memo: dict
+) -> ConditionReport | CauseReport:
+    """The first of AC1, AC2(a) and AC2(b) that a core fails at bound k, as
+    its ConditionReport, or the core's CauseReport when all three hold.
+    `memo` keeps `_evaluate_core`'s outcome per label word, which cores that
+    nondeterminism gives the same word share."""
+    if not space.sat >> space.index[states[-1]] & 1:
+        return _AC1_FAILS
+    if not space.reachable & ~space.sat:
+        return _AC2A_FAILS
+    if labels not in memo:
+        memo[labels] = _evaluate_core(space, labels, k)
+    if memo[labels] is None:
+        return _AC2B_FAILS
+    kill, dlists, truncated = memo[labels]
+    return CauseReport(Computation(states, labels, dlists, truncated), kill)
+
+
 def cause_candidate(
     ctx: EffectContext, core: Core, k: int
 ) -> tuple[Optional[Computation], ConditionReport]:
@@ -520,30 +541,23 @@ def cause_candidate(
     report shows the first failure.
     """
     _require_valid_core(ctx.lts, core)
-    lts = ctx.lts
-    sat = states_satisfying(lts, ctx.formula)
-    if core.final not in sat:
-        return None, ConditionReport(ac1=False)
-    if not reachable_states(lts) - sat:
-        return None, ConditionReport(ac1=True, ac2a=False)
-    evaluated = _evaluate_core(_StateSets(lts, sat), core.labels, k)
-    if evaluated is None:
-        return None, ConditionReport(ac1=True, ac2a=True, ac2b=False)
-    _, dlists, truncated = evaluated
-    computation = Computation(core.states, core.labels, dlists, truncated)
-    return computation, ConditionReport(ac1=True, ac2a=True, ac2b=True)
+    space = _StateSets(ctx.lts, states_satisfying(ctx.lts, ctx.formula))
+    judged = _judge(space, core.states, core.labels, k, {})
+    if isinstance(judged, ConditionReport):
+        return None, judged
+    return judged.computation, _CANDIDATE
 
 
 def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     """All minimal causes of the effect, explored up to bound k.
 
-    Cores of every length up to k are enumerated breadth-first; a core is
-    dropped as soon as any strictly smaller label word already admits a
-    candidate, which is exactly the minimality condition.  When the effect
-    already holds initially the only possible cause is the trivial
-    single-state computation, emitted when some reachable state escapes the
-    effect and omitted otherwise.  The cause set is kept in the system's
-    memo, so asking again for the same formula and bound returns it.
+    Cores of every length up to k are judged breadth-first from the empty
+    core; a core is dropped as soon as any strictly smaller label word
+    already admits a candidate, which is exactly the minimality condition.
+    So when the effect already holds initially, the empty core is the only
+    possible cause: it is one when some reachable state escapes the effect,
+    and nothing is otherwise.  The cause set is kept in the system's memo,
+    so asking again for the same formula and bound returns it.
     """
     lts = ctx.lts
     if k is None:
@@ -556,43 +570,28 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     sat = states_satisfying(lts, ctx.formula)
     exact = exploration_is_exact(lts, k)
     exactness = Exactness.EXACT if exact else Exactness.BOUNDED_APPROX
-
-    if lts.initial in sat:
-        reports: tuple = ()
-        if reachable_states(lts) - sat:
-            reports = (CauseReport(trivial_computation(lts.initial), frozenset()),)
-        memo[key] = CauseSet(reports, ctx, k, exactness, immediate=True)
-        return memo[key]
-
     space = _StateSets(lts, sat)
     successful_words: set[Word] = set()
     evaluated: dict[Word, Optional[tuple]] = {}
     accepted: list[CauseReport] = []
-
     level: list[tuple[tuple, Word]] = [((lts.initial,), ())]
-    for _ in range(k):
-        survivors = _extend_level(lts, level, successful_words)
-        for states, labels in survivors:
-            if states[-1] not in sat:
-                continue
-            # AC2(a) holds here: the initial state itself escapes the effect.
-            if labels not in evaluated:
-                evaluated[labels] = _evaluate_core(space, labels, k)
-            if evaluated[labels] is None:
-                continue
-            kill, dlists, truncated = evaluated[labels]
-            successful_words.add(labels)
-            accepted.append(
-                CauseReport(
-                    computation=Computation(states, labels, dlists, truncated),
-                    kill_traces=kill,
-                )
-            )
-        if not survivors:
+    for length in range(k + 1):
+        # a cause is not extended, and neither is a core that fails AC2(a),
+        # since every core then does
+        open_cores = []
+        for states, labels in level:
+            judged = _judge(space, states, labels, k, evaluated)
+            if isinstance(judged, CauseReport):
+                successful_words.add(labels)
+                accepted.append(judged)
+            elif judged is not _AC2A_FAILS:
+                open_cores.append((states, labels))
+        if length == k or not open_cores:
             break
-        level = survivors
+        level = _extend_level(lts, open_cores, successful_words)
 
-    memo[key] = CauseSet(_in_order(accepted), ctx, k, exactness, immediate=False)
+    immediate = lts.initial in sat
+    memo[key] = CauseSet(_in_order(accepted), ctx, k, exactness, immediate)
     return memo[key]
 
 
@@ -880,10 +879,6 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         "ac2c": False,
         "ac3": False,
     }
-    for s in c.states:
-        if s not in lts.states:
-            details["valid_path"] = False
-            return details
     for i, label in enumerate(c.labels):
         if (c.states[i], label, c.states[i + 1]) not in lts.transitions:
             details["valid_path"] = False

@@ -12,22 +12,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+
+# Every public name is read through the package's lazy namespace, so a
+# command loads only the modules it runs.
+import hmlcause
 
 
 def _load_lts(path: str):
-    from .lts import parse_aut
-
     with open(path, encoding="utf-8") as fh:
-        return parse_aut(fh.read())
+        return hmlcause.parse_aut(fh.read())
 
 
 def _load_formula(arg: str):
-    from .hml import parse_formula
-
     if os.path.isfile(arg):
         with open(arg, encoding="utf-8") as fh:
             arg = fh.read()
-    return parse_formula(arg.strip())
+    return hmlcause.parse_formula(arg.strip())
 
 
 def render_word(word) -> str:
@@ -43,13 +44,10 @@ def _display_order(words):
 
 
 def _effective_bound(requested, lts) -> int:
-    from .causality import default_bound
-    from .lts import longest_acyclic_path
-
     if requested is not None:
         return requested
-    k = default_bound(lts)
-    if longest_acyclic_path(lts) is None:
+    k = hmlcause.default_bound(lts)
+    if hmlcause.longest_acyclic_path(lts) is None:
         print(
             f"note: system has cycles; using default bound {k}, "
             "results are bounded rather than exact",
@@ -59,40 +57,28 @@ def _effective_bound(requested, lts) -> int:
 
 
 def cmd_check(args) -> int:
-    from .hml import format_formula, satisfies
-    from .lts import format_state
-
     lts = _load_lts(args.lts)
     formula = _load_formula(args.formula)
-    verdict = satisfies(lts, lts.initial, formula)
+    verdict = hmlcause.satisfies(lts, lts.initial, formula)
+    state = hmlcause.format_state(lts.initial)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "state": format_state(lts.initial),
-                    "formula": format_formula(formula),
-                    "satisfies": verdict,
-                }
-            )
-        )
+        text = hmlcause.format_formula(formula)
+        print(json.dumps({"state": state, "formula": text, "satisfies": verdict}))
     else:
         status = "satisfies" if verdict else "does not satisfy"
-        print(f"initial state {format_state(lts.initial)} {status} the formula")
+        print(f"initial state {state} {status} the formula")
     return 0 if verdict else 1
 
 
 def cmd_causes(args) -> int:
-    from .causality import causes
-    from .hml import EffectContext, format_formula
-
     lts = _load_lts(args.lts)
-    ctx = EffectContext(lts, _load_formula(args.formula))
+    ctx = hmlcause.EffectContext(lts, _load_formula(args.formula))
     k = _effective_bound(args.bound, lts)
-    cause_set = causes(ctx, k)
+    cause_set = hmlcause.causes(ctx, k)
     if args.format == "json":
         print(json.dumps(cause_set.to_json(), indent=2))
     else:
-        print(f"effect: {format_formula(ctx.formula)}")
+        print(f"effect: {hmlcause.format_formula(ctx.formula)}")
         print(f"bound: {k} ({cause_set.exactness.value})")
         if cause_set.immediate:
             print(
@@ -114,43 +100,29 @@ def cmd_causes(args) -> int:
     return 0 if cause_set.causes else 1
 
 
-def cmd_project(args) -> int:
-    from .causality import causal_projection
-    from .hml import EffectContext
-    from .lts import emit_aut, emit_dot
-
-    lts = _load_lts(args.lts)
-    ctx = EffectContext(lts, _load_formula(args.formula))
-    k = _effective_bound(args.bound, lts)
-    projection = causal_projection(ctx, k)
-    if args.format == "dot":
-        print(emit_dot(projection))
+def _emit(lts, fmt: str) -> None:
+    if fmt == "dot":
+        print(hmlcause.emit_dot(lts))
     else:
-        sys.stdout.write(emit_aut(projection))
+        sys.stdout.write(hmlcause.emit_aut(lts))
+
+
+def cmd_project(args) -> int:
+    lts = _load_lts(args.lts)
+    ctx = hmlcause.EffectContext(lts, _load_formula(args.formula))
+    k = _effective_bound(args.bound, lts)
+    _emit(hmlcause.causal_projection(ctx, k), args.format)
     return 0
 
 
 def cmd_compose(args) -> int:
-    from .lts import choice, emit_aut, emit_dot, interleave
-
-    left = _load_lts(args.left)
-    right = _load_lts(args.right)
-    combined = (
-        interleave(left, right)
-        if args.operator == "interleave"
-        else choice(left, right)
-    )
-    if args.format == "dot":
-        print(emit_dot(combined))
-    else:
-        sys.stdout.write(emit_aut(combined))
+    compose = hmlcause.interleave if args.operator == "interleave" else hmlcause.choice
+    _emit(compose(_load_lts(args.left), _load_lts(args.right)), args.format)
     return 0
 
 
 def cmd_dot(args) -> int:
-    from .lts import emit_dot
-
-    print(emit_dot(_load_lts(args.lts)))
+    _emit(_load_lts(args.lts), "dot")
     return 0
 
 
@@ -174,34 +146,23 @@ def _render_theorem_report(report, exact: bool, fmt: str) -> None:
 
 
 def _law_check(theorem: str):
-    from .composition import verify_conjunction_theorem, verify_disjunction_theorem
-
-    return {
-        "disjunction": verify_disjunction_theorem,
-        "conjunction": verify_conjunction_theorem,
-    }[theorem]
+    if theorem == "disjunction":
+        return hmlcause.verify_disjunction_theorem
+    return hmlcause.verify_conjunction_theorem
 
 
 def _run_instance(theorem: str, left, right, k):
     """Returns (all_ok, reports, checks): theorem reports for disjunction /
     conjunction, cross-check results for lemmas."""
-    from .composition import (
-        cross_check_disjunction_lifting,
-        cross_check_single_component,
-    )
-
     if theorem == "lemmas":
-        lifting = cross_check_disjunction_lifting(left, right, k)
-        single = cross_check_single_component(left, right, k)
+        lifting = hmlcause.cross_check_disjunction_lifting(left, right, k)
+        single = hmlcause.cross_check_single_component(left, right, k)
         return lifting.ok and single.ok, (), (lifting, single)
     report = _law_check(theorem)(left, right, k)
     return report.verdict == "holds", (report,), ()
 
 
 def _verify_random(args) -> int:
-    from .composition import shrink_counterexample, write_counterexample_bundle
-    from .testkit import corpus
-
     if args.seed is None or args.count is None:
         raise ValueError("--random requires --seed and --count")
     if args.left is not None or args.bound is not None or args.format == "json":
@@ -210,7 +171,7 @@ def _verify_random(args) -> int:
         raise ValueError("--count must be at least 1")
     failures = 0
     total = 0
-    for inst in corpus(args.count, args.seed):
+    for inst in hmlcause.corpus(args.count, args.seed):
         total += 1
         ok, reports, checks = _run_instance(
             args.theorem, inst.left, inst.right, inst.bound
@@ -226,11 +187,11 @@ def _verify_random(args) -> int:
             if report.verdict == "holds":
                 continue
             verify = _law_check(report.theorem)
-            small_left, small_right = shrink_counterexample(
+            small_left, small_right = hmlcause.shrink_counterexample(
                 inst.left, inst.right, inst.bound, verify
             )
             bundle = f"counterexample-{report.theorem}-{inst.index}"
-            write_counterexample_bundle(
+            hmlcause.write_counterexample_bundle(
                 bundle,
                 small_left,
                 small_right,
@@ -242,13 +203,6 @@ def _verify_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from dataclasses import asdict
-
-    from .causality import default_bound, exploration_is_exact
-    from .composition import _precondition_report, check_preconditions
-    from .hml import EffectContext
-    from .lts import interleave
-
     if args.random:
         return _verify_random(args)
     if args.seed is not None or args.count is not None:
@@ -263,19 +217,23 @@ def cmd_verify(args) -> int:
     right_lts = _load_lts(args.right)
     left_formula = _load_formula(args.left_formula)
     right_formula = _load_formula(args.right_formula)
-    composite = interleave(left_lts, right_lts)
-    k = args.bound if args.bound is not None else default_bound(composite)
+    composite = hmlcause.interleave(left_lts, right_lts)
+    k = args.bound if args.bound is not None else hmlcause.default_bound(composite)
     if k < 0:
         raise ValueError("bound must be nonnegative")
-    pre = check_preconditions(left_lts, right_lts, left_formula, right_formula)
+    pre = hmlcause.check_preconditions(
+        left_lts, right_lts, left_formula, right_formula
+    )
     if not pre.ok:
+        from .composition import _precondition_report
+
         report = _precondition_report(args.theorem, pre, k)
         _render_theorem_report(report, True, args.format)
         return 1
-    left = EffectContext(left_lts, left_formula)
-    right = EffectContext(right_lts, right_formula)
+    left = hmlcause.EffectContext(left_lts, left_formula)
+    right = hmlcause.EffectContext(right_lts, right_formula)
     ok, reports, checks = _run_instance(args.theorem, left, right, k)
-    exact = exploration_is_exact(composite, k)
+    exact = hmlcause.exploration_is_exact(composite, k)
     if args.theorem == "lemmas":
         if args.format == "json":
             lifting, single = checks

@@ -32,6 +32,7 @@ from .lts import (
     emit_aut,
     format_state,
     interleave,
+    make_lts,
 )
 
 
@@ -196,12 +197,7 @@ def verify_conjunction_theorem(
         # one side can never be caused, so nothing is causal on the product
         # side either: both projections collapse to the bare initial state
         pair = (left.lts.initial, right.lts.initial)
-        rhs = Lts(
-            frozenset({pair}),
-            pair,
-            left.lts.alphabet | right.lts.alphabet,
-            frozenset(),
-        )
+        rhs = make_lts(pair, (), left.lts.alphabet | right.lts.alphabet)
     else:
         rhs = interleave(causal_projection(left, k), causal_projection(right, k))
     if lhs == rhs:

@@ -61,10 +61,6 @@ class Computation:
         return not self.labels
 
 
-def trivial_computation(state: State) -> Computation:
-    return Computation(states=(state,), labels=(), dlists=())
-
-
 def size_compatible(dlists: Sequence[Sequence[Word]]) -> bool:
     """All extension lists have the same length."""
     lengths = {len(dl) for dl in dlists}

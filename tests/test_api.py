@@ -76,7 +76,6 @@ PUBLIC = [
     "size_compatible",
     "states_satisfying",
     "step",
-    "trivial_computation",
     "verify_conjunction_theorem",
     "verify_disjunction_theorem",
     "write_counterexample_bundle",
@@ -116,6 +115,27 @@ def test_unknown_names_are_errors():
 
 def test_corpus_takes_only_a_count_and_a_seed():
     assert list(inspect.signature(testkit.corpus).parameters) == ["count", "seed"]
+
+
+def test_the_cli_reads_only_exported_names():
+    # the package serves its names through a module __getattr__, which
+    # static tools cannot see, so a misspelt name would fail only when its
+    # command ran
+    tree = ast.parse(Path(hmlcause.__file__).with_name("cli.py").read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "hmlcause"
+    }
+    assert read and read <= set(hmlcause.__all__), read - set(hmlcause.__all__)
+    relative = [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert relative == [("composition", ["_precondition_report"])]
 
 
 def test_the_one_module_level_cache_is_the_oracle_view():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from reference import (
     validate_computation,
 )
 from hmlcause import (
+    CauseReport,
     Computation,
     Core,
     EffectContext,
@@ -235,17 +238,62 @@ def test_causes_immediate_effect_without_escape():
     assert cause_set.exactness is Exactness.BOUNDED_APPROX
 
 
-def test_causes_immediate_effect_with_escape():
+def _immediate_effect_with_escape():
     lts = make_lts(
         "q0", [("q0", "h", "q0"), ("q0", "a", "q1")]
     )
-    ctx = EffectContext(lts, parse_formula("<h>tt"))
+    return EffectContext(lts, parse_formula("<h>tt"))
+
+
+def test_causes_immediate_effect_with_escape():
+    ctx = _immediate_effect_with_escape()
     cause_set = causes(ctx, 3)
     assert cause_set.immediate
     assert len(cause_set.causes) == 1
     comp = cause_set.causes[0].computation
     assert comp.is_trivial and comp.states == ("q0",)
     assert cause_set.causes[0].kill_traces == frozenset()
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_the_empty_core_is_judged_like_any_other(k):
+    # the system is cyclic, so no bound is exact; the empty core passes
+    # AC1, AC2(a) and AC2(b) at every bound, and minimality then leaves it
+    # the only cause
+    ctx = _immediate_effect_with_escape()
+    empty = Computation(("q0",), (), ())
+    cause_set = causes(ctx, k)
+    assert cause_set.causes == (CauseReport(empty, frozenset()),)
+    assert not cause_set.causes[0].computation.truncated
+    comp, report = cause_candidate(ctx, Core(("q0",), ()), k)
+    assert comp == empty
+    assert (report.ac1, report.ac2a, report.ac2b) == (True, True, True)
+
+
+@pytest.mark.parametrize("name", ["t1", "t3", "t4", "t6", "fig3_t", "fig3_tp"])
+def test_a_huge_bound_on_an_acyclic_system_ends_with_its_levels(name):
+    # the level loop stops at the first empty level, not at the bound
+    ctx = fixture_context(name)
+    longest = causes(ctx, len(ctx.lts.states))
+    start = time.perf_counter()
+    huge = causes(ctx, 10**18)
+    assert time.perf_counter() - start < 2.0
+    assert huge.exactness is Exactness.EXACT
+    assert [c.to_json() for c in huge.causes] == [
+        c.to_json() for c in longest.causes
+    ]
+    assert not any(c.computation.truncated for c in huge.causes)
+
+
+@pytest.mark.parametrize("escapes", [True, False], ids=["cause", "no-escape"])
+def test_a_huge_bound_stops_once_the_empty_core_is_judged(escapes):
+    # cyclic, so only the loop's stop rules end it: the empty core is a
+    # cause and no core extends it, or it fails AC2(a) and so does every core
+    ctx = _immediate_effect_with_escape() if escapes else fixture_context("t2")
+    start = time.perf_counter()
+    cause_set = causes(ctx, 10**18)
+    assert time.perf_counter() - start < 2.0
+    assert [c.computation.labels for c in cause_set.causes] == ([()] if escapes else [])
 
 
 def test_causes_default_bound_is_state_count():
@@ -356,6 +404,19 @@ def test_oracle_rejects_epsilon_placeholder_kills():
 def test_oracle_rejects_non_executable_core():
     t1 = fixture_context("t1")
     broken = Computation(("s10", "s12"), ("a",), ((),))
+    details = oracle_check_details(t1, broken, 3)
+    assert details["valid_path"] is False
+    assert not oracle_check_cause(t1, broken, 3)
+
+
+@pytest.mark.parametrize(
+    "states, labels",
+    [(("s10", "zz"), ("a",)), (("zz",), ())],
+    ids=["one-step", "zero-step"],
+)
+def test_oracle_rejects_a_core_off_the_system(states, labels):
+    t1 = fixture_context("t1")
+    broken = Computation(states, labels, ((),) * len(labels))
     details = oracle_check_details(t1, broken, 3)
     assert details["valid_path"] is False
     assert not oracle_check_cause(t1, broken, 3)

@@ -13,7 +13,6 @@ from hmlcause import (
     Core,
     computation_traces,
     size_compatible,
-    trivial_computation,
 )
 from hmlcause.testkit import fixtures
 
@@ -70,7 +69,7 @@ def test_computation_shape_enforced():
 
 
 def test_trivial_computation():
-    c = trivial_computation("s20")
+    c = Computation(("s20",), (), ())
     assert c.is_trivial
     assert c.states == ("s20",)
     assert c.labels == ()
