@@ -16,8 +16,6 @@ _EXPORTS = {
         "causes",
         "default_bound",
         "exploration_is_exact",
-        "oracle_check_cause",
-        "oracle_check_details",
     ),
     "composition": (
         "CrossCheckReport",
@@ -71,6 +69,10 @@ _EXPORTS = {
         "reachable_states",
         "restrict_to_reachable",
         "step",
+    ),
+    "oracle": (
+        "oracle_check_cause",
+        "oracle_check_details",
     ),
     "testkit": (
         "CorpusInstance",

@@ -9,13 +9,12 @@ all verdicts hold), 1 for the negative one, 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 
 # Every public name is read through the package's lazy namespace, so a
-# command loads only the modules it runs.
+# command loads only the modules it runs; `json` and `dataclasses` are
+# imported where machine output is written, for the same reason.
 import hmlcause
 
 
@@ -62,6 +61,8 @@ def cmd_check(args) -> int:
     verdict = hmlcause.satisfies(lts, lts.initial, formula)
     state = hmlcause.format_state(lts.initial)
     if args.format == "json":
+        import json
+
         text = hmlcause.format_formula(formula)
         print(json.dumps({"state": state, "formula": text, "satisfies": verdict}))
     else:
@@ -76,6 +77,8 @@ def cmd_causes(args) -> int:
     k = _effective_bound(args.bound, lts)
     cause_set = hmlcause.causes(ctx, k)
     if args.format == "json":
+        import json
+
         print(json.dumps(cause_set.to_json(), indent=2))
     else:
         print(f"effect: {hmlcause.format_formula(ctx.formula)}")
@@ -128,6 +131,8 @@ def cmd_dot(args) -> int:
 
 def _render_theorem_report(report, exact: bool, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(report.to_json(), indent=2))
         return
     verdict = report.verdict
@@ -236,6 +241,9 @@ def cmd_verify(args) -> int:
     exact = hmlcause.exploration_is_exact(composite, k)
     if args.theorem == "lemmas":
         if args.format == "json":
+            import json
+            from dataclasses import asdict
+
             lifting, single = checks
             print(
                 json.dumps(

@@ -9,7 +9,6 @@ instances and produce witnesses or counterexamples.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -362,6 +361,8 @@ def write_counterexample_bundle(
     report: TheoremReport,
 ) -> None:
     """Persist a failing instance as a directory of plain files."""
+    import json
+
     os.makedirs(directory, exist_ok=True)
     manifest = json.dumps(report.to_json(), indent=2, sort_keys=True)
     files = {

@@ -3,74 +3,137 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .lts import LABEL_RE, Lts, State, format_state
+from .lts import LABEL_RE, Lts, State, _Immutable, _set_field, format_state
 
 
-class Formula:
-    """Base class for formula nodes; all nodes are frozen and hashable.
+class Formula(_Immutable):
+    """Base class for formula nodes; all nodes are immutable and hashable.
 
-    A node keeps its hash and its alphabet once asked for them, so each is
-    computed once per node, from its children's.  Neither takes part in
-    equality, repr or pickling: a string's hash differs between processes,
-    so an unpickled node computes its own.
+    The node classes write out the constructor, equality, hash and repr a
+    frozen dataclass would generate (Diamond and Box share theirs, as do
+    And and Or), so that loading this module costs no `dataclasses` import
+    and building a node runs no generic code.  Equality holds only between
+    nodes of one class.  A node keeps its hash and its alphabet once asked
+    for them, so each is computed once per node, from its children's.
+    Neither takes part in equality, repr or pickling: a string's hash
+    differs between processes, so an unpickled node computes its own.
     """
 
     __slots__ = ()
+    __match_args__ = ()
     _hash = None
     _alphabet = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self.__dict__["_hash"] = self._fields_hash()
-        return self._hash
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
 
 
-def _node(cls):
-    """A frozen dataclass node with the generated equality and repr.  The
-    generated hash, of the fields' tuple, becomes `_fields_hash`, which
-    Formula's hash calls once per node."""
-    cls = dataclass(frozen=True)(cls)
-    cls._fields_hash, cls.__hash__ = cls.__hash__, Formula.__hash__
-    return cls
-
-
-@_node
 class Top(Formula):
-    pass
+    def __eq__(self, other):
+        if other.__class__ is not Top:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "Top()"
 
 
-@_node
-class Diamond(Formula):
-    label: str
-    body: Formula
+class _Modality(Formula):
+    """The fields and methods Diamond and Box share."""
+
+    __match_args__ = ("label", "body")
+
+    def __init__(self, label: str, body: Formula) -> None:
+        _set_field(self, "label", label)
+        _set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.body == other.body
+
+    def __hash__(self) -> int:
+        found = self._hash
+        if found is None:
+            found = hash((self.label, self.body))
+            _set_field(self, "_hash", found)
+        return found
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(label={self.label!r}, body={self.body!r})"
 
 
-@_node
-class Box(Formula):
-    label: str
-    body: Formula
+class Diamond(_Modality):
+    """`<label>body`: some `label` step leads to a state satisfying body."""
 
 
-@_node
+class Box(_Modality):
+    """`[label]body`: every `label` step leads to a state satisfying body."""
+
+
 class Not(Formula):
-    body: Formula
+    __match_args__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _set_field(self, "body", body)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Not:
+            return NotImplemented
+        return self.body == other.body
+
+    def __hash__(self) -> int:
+        found = self._hash
+        if found is None:
+            found = hash((self.body,))
+            _set_field(self, "_hash", found)
+        return found
+
+    def __repr__(self) -> str:
+        return f"Not(body={self.body!r})"
 
 
-@_node
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The fields and methods And and Or share."""
+
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        found = self._hash
+        if found is None:
+            found = hash((self.left, self.right))
+            _set_field(self, "_hash", found)
+        return found
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """`left & right`."""
+
+
+class Or(_Binary):
+    """`left | right`."""
 
 
 TT = Top()
@@ -250,7 +313,7 @@ def formula_alphabet(f: Formula) -> frozenset:
                 alphabet = formula_alphabet(left) | formula_alphabet(right)
             case _:
                 raise TypeError(f"not a formula: {f!r}")
-        f.__dict__["_alphabet"] = alphabet
+        _set_field(f, "_alphabet", alphabet)
     return f._alphabet
 
 
@@ -299,24 +362,38 @@ def _evaluate(lts: Lts, f: Formula) -> frozenset:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True)
-class EffectContext:
+class EffectContext(_Immutable):
     """An effect formula paired with the system it is interpreted over.
 
     Every label of the formula must be declared in the system's alphabet;
     AUT inputs can extend the alphabet with an `#alphabet:` directive.
+    Immutable, and equal to another context with equal fields.
     """
 
-    lts: Lts
-    formula: Formula
+    __match_args__ = ("lts", "formula")
 
-    def __post_init__(self) -> None:
-        missing = formula_alphabet(self.formula) - self.lts.alphabet
+    def __init__(self, lts: Lts, formula: Formula) -> None:
+        missing = formula_alphabet(formula) - lts.alphabet
         if missing:
             raise ValueError(
                 "formula uses labels outside the system alphabet: "
                 + ", ".join(sorted(missing))
             )
+        _set_field(self, "lts", lts)
+        _set_field(self, "formula", formula)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not EffectContext:
+            return NotImplemented
+        return self.lts == other.lts and self.formula == other.formula
+
+    def __hash__(self) -> int:
+        return hash((self.lts, self.formula))
+
+    def __repr__(self) -> str:
+        return f"EffectContext(lts={self.lts!r}, formula={self.formula!r})"
 
 
 def is_immediate_effect(ctx: EffectContext) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 State = Union[str, int, tuple]
@@ -39,8 +38,27 @@ def _state_to_json(s: State):
     return s
 
 
-@dataclass(frozen=True)
-class Lts:
+# Sets a field of an immutable value class from its `__init__`, past the
+# class's own `__setattr__`.  A write through `__dict__` would be cheaper
+# but makes every later attribute read slower.
+_set_field = object.__setattr__
+
+
+class _Immutable:
+    """Base of the value classes (`Lts`, `EffectContext`, the formula
+    nodes): each sets its fields once, in `__init__`, and refuses to have
+    any attribute assigned or deleted afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Lts(_Immutable):
     """Immutable LTS: a finite state set, one initial state, a finite label
     alphabet and a set of labeled transitions.
 
@@ -57,26 +75,57 @@ class Lts:
     them, and a value-equal but distinct system computes its own.  A
     product of `interleave` is born with "reachable" and "longest", which
     follow from its components'.
+
+    Equality and hashing go by the four fields, and neither fields nor
+    memo can be assigned or deleted.
     """
 
-    states: frozenset
-    initial: State
-    alphabet: frozenset
-    transitions: frozenset
+    __match_args__ = ("states", "initial", "alphabet", "transitions")
 
-    def __post_init__(self) -> None:
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {format_state(self.initial)!r} not a state")
-        for label in self.alphabet:
+    def __init__(
+        self,
+        states: frozenset,
+        initial: State,
+        alphabet: frozenset,
+        transitions: frozenset,
+    ) -> None:
+        if initial not in states:
+            raise ValueError(f"initial state {format_state(initial)!r} not a state")
+        for label in alphabet:
             if not valid_label(label):
                 raise ValueError(f"invalid label {label!r}")
-        for src, label, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        for src, label, dst in transitions:
+            if src not in states or dst not in states:
                 raise ValueError("transition endpoint is not a state")
-            if label not in self.alphabet:
+            if label not in alphabet:
                 raise ValueError(f"transition label {label!r} not in alphabet")
-        # an attribute added after construction costs a dict per instance
-        object.__setattr__(self, "_memo", {})
+        _set_field(self, "states", states)
+        _set_field(self, "initial", initial)
+        _set_field(self, "alphabet", alphabet)
+        _set_field(self, "transitions", transitions)
+        _set_field(self, "_memo", {})
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Lts:
+            return NotImplemented
+        # a tuple compares its items identity first, as frozensets do not
+        return (self.states, self.initial, self.alphabet, self.transitions) == (
+            other.states,
+            other.initial,
+            other.alphabet,
+            other.transitions,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.initial, self.alphabet, self.transitions))
+
+    def __repr__(self) -> str:
+        return (
+            f"Lts(states={self.states!r}, initial={self.initial!r}, "
+            f"alphabet={self.alphabet!r}, transitions={self.transitions!r})"
+        )
 
     def outgoing(self, s: State) -> tuple:
         """Sorted (label, target) pairs leaving s."""

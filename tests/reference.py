@@ -59,10 +59,11 @@ from hmlcause import (
     states_satisfying,
     step,
 )
-from hmlcause.causality import _oracle_view, _OracleView, _require_valid_core
+from hmlcause.causality import _require_valid_core
 from hmlcause.composition import _prepare
 from hmlcause.computation import computation_traces, size_compatible
 from hmlcause.lts import State, Word
+from hmlcause.oracle import _oracle_view, _OracleView
 
 
 def successors(lts: Lts, s: State, label: str) -> frozenset:

@@ -1,7 +1,7 @@
 """The package's public surface: what `hmlcause` exports and how a corpus is
 drawn.  A name that only the tests need lives under `tests/`, so adding one
-here shows up as a diff of this list.  The one module-level cache is
-checked here too."""
+here shows up as a diff of this list.  The one module-level cache and the
+import boundary between the engine and the oracle are checked here too."""
 
 from __future__ import annotations
 
@@ -153,4 +153,36 @@ def test_the_one_module_level_cache_is_the_oracle_view():
                 name = getattr(decorator, "attr", getattr(decorator, "id", None))
                 if name in ("lru_cache", "cache"):
                     cached.append((path.stem, node.name))
-    assert cached == [("causality", "_oracle_view")]
+    assert cached == [("oracle", "_oracle_view")]
+
+
+def imported_modules(path: Path) -> set:
+    """The package modules a source file imports from, by any import form:
+    relative, absolute, or a name read from the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package
+                base = f"hmlcause.{base}".rstrip(".")
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            if parts[0] != "hmlcause" or len(parts) < 2:
+                continue
+            found.add(hmlcause._HOME.get(parts[1], parts[1]))
+    return found
+
+
+def test_the_oracle_and_the_engine_import_nothing_from_each_other():
+    # the oracle re-verifies the engine's causes, so its independence is the
+    # point: neither may reach the other's code
+    src = Path(hmlcause.__file__).parent
+    oracle, engine = src / "oracle.py", src / "causality.py"
+    assert imported_modules(oracle) == {"computation", "hml", "lts"}
+    assert "oracle" not in imported_modules(engine)
+    assert "causality" in imported_modules(src / "composition.py")

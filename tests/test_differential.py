@@ -42,14 +42,12 @@ from hmlcause import (
 )
 from hmlcause.causality import (
     KillSet,
-    _admits_candidate,
     _evaluate_core,
     _extend_level,
-    _oracle_view,
-    _OracleView,
     _StateSets,
 )
 from hmlcause.computation import computation_traces
+from hmlcause.oracle import _admits_candidate, _oracle_view, _OracleView
 from hmlcause.testkit import corpus, fixtures
 from helpers import cyclic_pair
 from reference import (

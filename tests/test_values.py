@@ -1,0 +1,106 @@
+"""The immutable value classes, `Lts`, `EffectContext` and the formula
+nodes: equality within one class, hashing, repr, immutability, copying,
+pickling and class patterns."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from hmlcause import FF, TT, And, Box, Diamond, EffectContext, Lts, Not, Or, Top
+
+
+def system() -> Lts:
+    return Lts(frozenset({0, 1}), 0, frozenset({"a"}), frozenset({(0, "a", 1)}))
+
+
+LTS_REPR = (
+    "Lts(states=frozenset({0, 1}), initial=0, alphabet=frozenset({'a'}), "
+    "transitions=frozenset({(0, 'a', 1)}))"
+)
+
+# (build a value, its fields in order, its repr); each call builds a new
+# object, and no two rows build equal values
+VALUES = [
+    (system, ("states", "initial", "alphabet", "transitions"), LTS_REPR),
+    (
+        lambda: EffectContext(system(), Diamond("a", TT)),
+        ("lts", "formula"),
+        f"EffectContext(lts={LTS_REPR}, formula=Diamond(label='a', body=Top()))",
+    ),
+    (Top, (), "Top()"),
+    (lambda: Diamond("a", TT), ("label", "body"), "Diamond(label='a', body=Top())"),
+    (lambda: Box("a", TT), ("label", "body"), "Box(label='a', body=Top())"),
+    (lambda: Not(Not(TT)), ("body",), "Not(body=Not(body=Top()))"),
+    (
+        lambda: And(TT, FF),
+        ("left", "right"),
+        "And(left=Top(), right=Not(body=Top()))",
+    ),
+    (lambda: Or(TT, FF), ("left", "right"), "Or(left=Top(), right=Not(body=Top()))"),
+]
+IDS = [repr_.split("(")[0] for _, _, repr_ in VALUES]
+
+
+def bound_by_match(value) -> tuple:
+    """The fields a class pattern binds, positionally."""
+    match value:
+        case Lts(states, initial, alphabet, transitions):
+            return states, initial, alphabet, transitions
+        case EffectContext(lts, formula):
+            return lts, formula
+        case Top():
+            return ()
+        case Diamond(label, body) | Box(label, body):
+            return label, body
+        case Not(body):
+            return (body,)
+        case And(left, right) | Or(left, right):
+            return left, right
+    raise AssertionError(f"no pattern binds {value!r}")
+
+
+@pytest.mark.parametrize("build, fields, text", VALUES, ids=IDS)
+def test_equal_values_hash_equal_and_print_their_fields(build, fields, text):
+    value, twin = build(), build()
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    assert repr(value) == repr(twin) == text
+    assert bound_by_match(value) == tuple(getattr(value, f) for f in fields)
+
+
+def test_equality_holds_only_within_one_class():
+    assert Diamond("a", TT) != Box("a", TT)
+    assert And(TT, FF) != Or(TT, FF)
+    values = [build() for build, _, _ in VALUES]
+    for i, value in enumerate(values):
+        for j, other in enumerate(values):
+            assert (value == other) is (i == j), (value, other)
+        # a value is not the tuple of its fields
+        assert value != bound_by_match(value)
+
+
+@pytest.mark.parametrize("build, fields, text", VALUES, ids=IDS)
+def test_fields_can_be_neither_assigned_nor_deleted(build, fields, text):
+    value = build()
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("build, fields, text", VALUES, ids=IDS)
+def test_copies_and_pickles_are_equal_values(build, fields, text):
+    value = build()
+    hash(value)  # a formula node now holds its hash; a copy computes its own
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == text
