@@ -10,63 +10,40 @@ from .lts import LABEL_RE, Lts, State, _Immutable, _set_field, format_state
 class Formula(_Immutable):
     """Base class for formula nodes; all nodes are immutable and hashable.
 
-    The node classes write out the constructor, equality, hash and repr a
-    frozen dataclass would generate (Diamond and Box share theirs, as do
-    And and Or), so that loading this module costs no `dataclasses` import
-    and building a node runs no generic code.  Equality holds only between
-    nodes of one class.  A node keeps its hash and its alphabet once asked
-    for them, so each is computed once per node, from its children's.
-    Neither takes part in equality, repr or pickling: a string's hash
-    differs between processes, so an unpickled node computes its own.
+    Each node class writes out only its constructor (Diamond and Box share
+    theirs, as do And and Or), so building a node runs no generic code;
+    equality, repr and pickling come from `_Immutable`, and equality holds
+    only between nodes of one class.  A node keeps its hash and its
+    alphabet once asked for them, so each is computed once per node, from
+    its children's.  Neither takes part in equality, repr or pickling: a
+    string's hash differs between processes, so an unpickled node computes
+    its own.
     """
 
     __slots__ = ()
-    __match_args__ = ()
     _hash = None
     _alphabet = None
 
-    def __reduce__(self) -> tuple:
-        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+    def __hash__(self) -> int:
+        found = self._hash
+        if found is None:
+            found = _Immutable.__hash__(self)
+            _set_field(self, "_hash", found)
+        return found
 
 
 class Top(Formula):
-    def __eq__(self, other):
-        if other.__class__ is not Top:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "Top()"
+    """`tt`: holds at every state."""
 
 
 class _Modality(Formula):
-    """The fields and methods Diamond and Box share."""
+    """The fields and constructor Diamond and Box share."""
 
     __match_args__ = ("label", "body")
 
     def __init__(self, label: str, body: Formula) -> None:
         _set_field(self, "label", label)
         _set_field(self, "body", body)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label and self.body == other.body
-
-    def __hash__(self) -> int:
-        found = self._hash
-        if found is None:
-            found = hash((self.label, self.body))
-            _set_field(self, "_hash", found)
-        return found
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(label={self.label!r}, body={self.body!r})"
 
 
 class Diamond(_Modality):
@@ -83,49 +60,15 @@ class Not(Formula):
     def __init__(self, body: Formula) -> None:
         _set_field(self, "body", body)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Not:
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self) -> int:
-        found = self._hash
-        if found is None:
-            found = hash((self.body,))
-            _set_field(self, "_hash", found)
-        return found
-
-    def __repr__(self) -> str:
-        return f"Not(body={self.body!r})"
-
 
 class _Binary(Formula):
-    """The fields and methods And and Or share."""
+    """The fields and constructor And and Or share."""
 
     __match_args__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula) -> None:
         _set_field(self, "left", left)
         _set_field(self, "right", right)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        found = self._hash
-        if found is None:
-            found = hash((self.left, self.right))
-            _set_field(self, "_hash", found)
-        return found
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(left={self.left!r}, right={self.right!r})"
 
 
 class And(_Binary):
@@ -300,17 +243,22 @@ def format_formula(f: Formula) -> str:
 
 
 def formula_alphabet(f: Formula) -> frozenset:
-    """Labels appearing in modalities."""
+    """Labels appearing in modalities.  A node that adds no label to a
+    child's shares the child's set, as the node keeps it."""
     if getattr(f, "_alphabet", None) is None:
         match f:
             case Top():
                 alphabet = frozenset()
             case Diamond(label, body) | Box(label, body):
-                alphabet = formula_alphabet(body) | {label}
+                alphabet = formula_alphabet(body)
+                if label not in alphabet:
+                    alphabet = alphabet | {label}
             case Not(body):
                 alphabet = formula_alphabet(body)
             case And(left, right) | Or(left, right):
-                alphabet = formula_alphabet(left) | formula_alphabet(right)
+                alphabet, other = formula_alphabet(left), formula_alphabet(right)
+                if not other <= alphabet:
+                    alphabet = other if alphabet <= other else alphabet | other
             case _:
                 raise TypeError(f"not a formula: {f!r}")
         _set_field(f, "_alphabet", alphabet)
@@ -381,19 +329,6 @@ class EffectContext(_Immutable):
             )
         _set_field(self, "lts", lts)
         _set_field(self, "formula", formula)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not EffectContext:
-            return NotImplemented
-        return self.lts == other.lts and self.formula == other.formula
-
-    def __hash__(self) -> int:
-        return hash((self.lts, self.formula))
-
-    def __repr__(self) -> str:
-        return f"EffectContext(lts={self.lts!r}, formula={self.formula!r})"
 
 
 def is_immediate_effect(ctx: EffectContext) -> bool:

@@ -46,16 +46,45 @@ _set_field = object.__setattr__
 
 class _Immutable:
     """Base of the value classes (`Lts`, `EffectContext`, the formula
-    nodes): each sets its fields once, in `__init__`, and refuses to have
-    any attribute assigned or deleted afterwards."""
+    nodes).  Each sets its fields once, in `__init__`, names them in
+    `__match_args__`, and refuses to have any attribute assigned or deleted
+    afterwards.  Equality (within one class), the hash (of the fields'
+    tuple), the repr and pickling read those fields alone: a copy or a
+    pickle is rebuilt through `__init__`, validated again, and keeps no memo
+    or cached hash.
+    """
 
     __slots__ = ()
+    __match_args__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # field by field, identity first, as a tuple compares its items;
+        # building the two tuples would cost more than the comparison
+        for name in self.__match_args__:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and not mine == theirs:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple([getattr(self, f) for f in self.__match_args__])
 
 
 class Lts(_Immutable):
@@ -76,8 +105,9 @@ class Lts(_Immutable):
     product of `interleave` is born with "reachable" and "longest", which
     follow from its components'.
 
-    Equality and hashing go by the four fields, and neither fields nor
-    memo can be assigned or deleted.
+    Equality, hashing, repr and pickling go by the four fields alone
+    (`_Immutable`): a copy or an unpickled system starts with an empty memo
+    of its own.  Neither fields nor memo can be assigned or deleted.
     """
 
     __match_args__ = ("states", "initial", "alphabet", "transitions")
@@ -104,28 +134,6 @@ class Lts(_Immutable):
         _set_field(self, "alphabet", alphabet)
         _set_field(self, "transitions", transitions)
         _set_field(self, "_memo", {})
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Lts:
-            return NotImplemented
-        # a tuple compares its items identity first, as frozensets do not
-        return (self.states, self.initial, self.alphabet, self.transitions) == (
-            other.states,
-            other.initial,
-            other.alphabet,
-            other.transitions,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.states, self.initial, self.alphabet, self.transitions))
-
-    def __repr__(self) -> str:
-        return (
-            f"Lts(states={self.states!r}, initial={self.initial!r}, "
-            f"alphabet={self.alphabet!r}, transitions={self.transitions!r})"
-        )
 
     def outgoing(self, s: State) -> tuple:
         """Sorted (label, target) pairs leaving s."""

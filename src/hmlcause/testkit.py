@@ -42,10 +42,14 @@ class GenParams:
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        if self.max_out_degree < 1:
+            raise ValueError("max_out_degree must be at least 1")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
         if self.alphabet_size > len(string.ascii_lowercase):
             raise ValueError("alphabet_size too large")
+        if self.formula_depth < 0:
+            raise ValueError("formula_depth must not be negative")
 
 
 def _labels(p: GenParams) -> list:

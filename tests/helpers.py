@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -24,6 +25,14 @@ from hmlcause import (
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
+
+
+def child_env() -> dict:
+    """The environment for a child `python` that must import the package."""
+    # the child finds the package the way this process does, also when only
+    # pytest's own pythonpath setting put src/ on sys.path
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def w(text: str) -> tuple:

@@ -5,13 +5,12 @@ from __future__ import annotations
 import ast
 import inspect
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from helpers import FIXTURE_DIR, ROOT
+from helpers import FIXTURE_DIR, ROOT, child_env
 from hmlcause import parse_aut
 from hmlcause import cli
 from hmlcause.cli import main
@@ -456,13 +455,6 @@ def test_cli_is_deterministic(capsys):
     first = run(capsys, "causes", T4, "<h>tt", "--bound", "3")
     second = run(capsys, "causes", T4, "<h>tt", "--bound", "3")
     assert first == second
-
-
-def child_env():
-    # the child finds the package the way this process does, also when only
-    # pytest's own pythonpath setting put src/ on sys.path
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def test_module_entry_point():

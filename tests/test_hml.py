@@ -194,6 +194,15 @@ def test_formula_alphabet_examples():
     assert formula_alphabet(parse_formula("[a]<b>tt & <a>tt")) == frozenset(
         {"a", "b"}
     )
+    # a node that adds no label to a child's shares the child's set
+    inner = parse_formula("<a>tt & [b]tt")
+    for outer in (
+        Diamond("a", inner),
+        Not(inner),
+        And(inner, Box("b", Top())),
+        Or(Diamond("a", Top()), inner),
+    ):
+        assert formula_alphabet(outer) is formula_alphabet(inner)
 
 
 def _labels(f) -> frozenset:

@@ -50,6 +50,13 @@ def test_gen_params_validation():
         GenParams(seed=1, max_states=0)
     with pytest.raises(ValueError):
         GenParams(seed=1, alphabet_size=0)
+    # an out-degree of 0 leaves gen_lts no state to attach the next one to
+    with pytest.raises(ValueError):
+        GenParams(seed=3, max_out_degree=0)
+    # below 0 the depth never reaches 0, so only the 15 % chance of a leaf
+    # ends a branch, and gen_effect mostly recurses until the stack runs out
+    with pytest.raises(ValueError):
+        GenParams(seed=1, formula_depth=-1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

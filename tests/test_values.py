@@ -9,7 +9,21 @@ import pickle
 
 import pytest
 
-from hmlcause import FF, TT, And, Box, Diamond, EffectContext, Lts, Not, Or, Top
+from hmlcause import (
+    FF,
+    TT,
+    And,
+    Box,
+    Diamond,
+    EffectContext,
+    Lts,
+    Not,
+    Or,
+    Top,
+    causes,
+    formula_alphabet,
+    make_lts,
+)
 
 
 def system() -> Lts:
@@ -92,9 +106,48 @@ def test_fields_can_be_neither_assigned_nor_deleted(build, fields, text):
     assert repr(value) == text
 
 
+def systems(value) -> list:
+    return [v for v in (value, getattr(value, "lts", None)) if isinstance(v, Lts)]
+
+
+def fill_caches(value) -> None:
+    """Hash value, read a formula's alphabet, and for a system run `causes`
+    at bound 12 with its effect, or with `<label>tt` for each label, and
+    read every kill set, so that the memo holds cause sets and spelled kill
+    words."""
+    hash(value)
+    if isinstance(value, EffectContext):
+        contexts = [value]
+    elif isinstance(value, Lts):
+        contexts = [EffectContext(value, Diamond(label, TT)) for label in value.alphabet]
+    else:
+        contexts = []
+        formula_alphabet(value)
+    for ctx in contexts:
+        for cause in causes(ctx, 12).causes:
+            list(cause.kill_traces)
+    assert all(system._memo for system in systems(value))
+
+
+def pickled_sizes(value) -> list:
+    return [len(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def copies_hold_no_memo(value, copies) -> bool:
+    """Whether each system a copy rebuilt starts with an empty memo of its
+    own; a shallow copy of a context keeps the original's system."""
+    return all(
+        system is original or not system._memo
+        for twin in copies
+        for original, system in zip(systems(value), systems(twin))
+    )
+
+
 @pytest.mark.parametrize("build, fields, text", VALUES, ids=IDS)
 def test_copies_and_pickles_are_equal_values(build, fields, text):
     value = build()
+    sizes = pickled_sizes(value)
+    fill_caches(value)
     hash(value)  # a formula node now holds its hash; a copy computes its own
     copies = [copy.copy(value), copy.deepcopy(value)]
     copies += [
@@ -104,3 +157,34 @@ def test_copies_and_pickles_are_equal_values(build, fields, text):
     for twin in copies:
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+    # a copy is rebuilt from the fields alone, whatever the value has cached
+    assert copies_hold_no_memo(value, copies)
+    assert pickled_sizes(value) == sizes
+
+
+def loop() -> Lts:
+    """`s0-a->s1`, `s1-{i,j}->s1`, `s1-h->s2`: the cyclic loop whose kill
+    sets for `<h>tt` grow as 2^k - 1 words."""
+    return make_lts(
+        "s0", [("s0", "a", "s1"), ("s1", "i", "s1"), ("s1", "j", "s1"), ("s1", "h", "s2")]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [loop, lambda: EffectContext(loop(), Diamond("h", TT))],
+    ids=["Lts", "EffectContext"],
+)
+def test_a_system_with_spelled_kill_sets_copies_and_pickles_without_them(build):
+    """Once `causes` has spelled the loop's 4,095 kill words for `<h>tt`
+    at bound 12, the loop and a context on it still copy without their
+    memo and pickle as small as a fresh value.  Reprs are not compared: a
+    copy may list the string labels in another order."""
+    value = build()
+    sizes = pickled_sizes(value)
+    fill_caches(value)
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin == value and hash(twin) == hash(value) for twin in copies)
+    assert copies_hold_no_memo(value, copies)
+    assert pickled_sizes(value) == sizes
