@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import AbstractSet, Optional
 
 from .computation import Computation, Core
@@ -61,7 +60,7 @@ class CauseReport:
                 "states": [_state_to_json(s) for s in self.computation.states],
                 "labels": list(self.computation.labels),
             },
-            "kill_traces": [list(w) for w in sorted(self.kill_traces)],
+            "kill_traces": [list(w) for w in self.kill_traces],
             "dlists": [[list(w) for w in dl] for dl in self.computation.dlists],
         }
 
@@ -253,9 +252,9 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     exactly when a node accepted at k+1 but not at k reaches a state
     outside the effect.  No word is spelled here: the kill set is a KillSet
     over the productive sub-DAG (the nodes from which a kill node can be
-    reached) and the extension lists are an ExtensionLists that it fills
-    when first read.  Without kill words they are an empty frozenset and m
-    empty tuples.
+    reached) and the extension lists are an ExtensionLists that spells them
+    off the same DAG when first read.  Without kill words they are an empty
+    frozenset and m empty tuples.
 
     AC2(c) needs no check of its own: every kill word is executable and
     always escapes the effect by construction of the verdict.
@@ -394,23 +393,22 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     return kill, ExtensionLists(kill), truncated
 
 
-def _spell(labels: Word, nodes: tuple, root: int) -> tuple[list, tuple]:
-    """(kill words, extension lists) of a numbered productive DAG.  Depth
-    first in label order, so the kill words come out sorted.  Every kill
-    word starts with the first core letter, the root's one child; each path
-    carries the entries its core letters, matched leftmost, have closed and
-    where its open entry starts, and a kill word's entries are those with
-    the open one appended."""
+def _spell(labels: Word, nodes: tuple, root: int):
+    """The kill words of a numbered productive DAG, each with its extension
+    list entries, as (word, entries) pairs in sorted word order; none is
+    kept.  Depth first in label order, so a word comes after its prefixes
+    and before its siblings' words.  Every kill word starts with the first
+    core letter, the root's one child; each path carries the entries its
+    core letters, matched leftmost, have closed and where its open entry
+    starts, and a kill word's entries are those with the open one
+    appended."""
     m = len(labels)
-    kill: list[Word] = []
-    entries: list[tuple] = []
     spell = [(child, (label,), (), 1) for label, child in reversed(nodes[root][2])]
     while spell:
         node, word, closed, start = spell.pop()
         is_kill, _, children = nodes[node]
         if is_kill:
-            kill.append(word)
-            entries.append(closed + (word[start:],))
+            yield word, closed + (word[start:],)
         wanted = labels[len(closed) + 1] if len(closed) + 1 < m else None
         for label, child in reversed(children):
             longer = word + (label,)
@@ -418,68 +416,72 @@ def _spell(labels: Word, nodes: tuple, root: int) -> tuple[list, tuple]:
                 spell.append((child, longer, closed + (word[start:],), len(longer)))
             else:
                 spell.append((child, longer, closed, start))
-    # a productive DAG holds a kill word, so there are m lists
-    return kill, tuple(zip(*entries))
 
 
 class KillSet(Set):
-    """The kill words of one core, held as the productive DAG that judged
-    it and spelled only when they are read.
+    """The kill words of one core, kept only as the productive DAG that
+    judged it: an acyclic automaton for them, often far smaller than the
+    2^k words it spells.
 
-    `len` is the root's path count, so it spells no word.  Membership,
-    iteration and hashing spell every word once, keep them as a frozenset
-    (which is what `in`, equality and hashing see), fill the core's
-    extension lists and let the DAG go.
+    `len` is the root's path count.  Iteration spells the words off the DAG
+    in sorted order and keeps none, so each pass spells them again.  A word
+    is a member when its one path through the DAG ends at a kill node; as
+    in a frozenset, a value that is not a tuple is not one and an unhashable
+    value raises TypeError.  Equality and the hash, which is the frozenset's,
+    are those of `collections.abc.Set`, and `&`, `|` and `-` give frozensets.
     """
 
-    __slots__ = ("_labels", "_nodes", "_root", "_len", "_words", "_dlists")
+    __slots__ = ("_labels", "_nodes", "_root")
 
     def __init__(self, labels: Word, nodes: tuple, root: int) -> None:
         self._labels = labels
-        self._nodes: Optional[tuple] = nodes
+        self._nodes = nodes
         self._root = root
-        self._len = nodes[root][1]
-        self._words: Optional[frozenset] = None
-        self._dlists: Optional[tuple] = None
-
-    def _spelled(self) -> frozenset:
-        if self._words is None:
-            kill, self._dlists = _spell(self._labels, self._nodes, self._root)
-            self._words, self._nodes = frozenset(kill), None
-        return self._words
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset:
         return frozenset(it)
 
     def __len__(self) -> int:
-        return self._len
+        return self._nodes[self._root][1]
 
     def __iter__(self):
-        return iter(self._spelled())
+        return (word for word, _ in _spell(self._labels, self._nodes, self._root))
 
     def __contains__(self, word) -> bool:
-        return word in self._spelled()
+        hash(word)
+        if not isinstance(word, tuple):
+            return False
+        node = self._root
+        for letter in word:
+            node = dict(self._nodes[node][2]).get(letter)
+            if node is None:
+                return False
+        return self._nodes[node][0]
 
-    def __hash__(self) -> int:
-        return hash(self._spelled())
+    __hash__ = Set._hash
 
     def __repr__(self) -> str:
-        return f"KillSet({set(self._spelled())!r})"
+        return f"KillSet({set(self)!r})"
 
 
 class ExtensionLists(Sequence):
-    """A core's m extension lists, spelled by its KillSet on first read;
-    equal to and hashed as the tuple of tuples they spell."""
+    """A core's m extension lists, spelled off its KillSet's DAG on first
+    read and kept; equal to and hashed as the tuple of tuples they are."""
 
-    __slots__ = ("_kill",)
+    __slots__ = ("_kill", "_cache")
 
     def __init__(self, kill: KillSet) -> None:
         self._kill = kill
+        self._cache: Optional[tuple] = None
 
     def _lists(self) -> tuple:
-        self._kill._spelled()
-        return self._kill._dlists
+        if self._cache is None:
+            kill = self._kill
+            spelled = _spell(kill._labels, kill._nodes, kill._root)
+            # a productive DAG holds a kill word, so there are m lists
+            self._cache = tuple(zip(*(entries for _, entries in spelled)))
+        return self._cache
 
     def __len__(self) -> int:
         return len(self._kill._labels)
@@ -589,22 +591,12 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
         level = _extend_level(lts, open_cores, successful_words)
 
     immediate = lts.initial in sat
-    memo[key] = CauseSet(_in_order(accepted), ctx, k, exactness, immediate)
+    # a level lists cores that share a word by their formatted states, as
+    # it extends the last level in order through `outgoing`, which sorts by
+    # label and then formatted target; so a stable sort by word suffices
+    accepted.sort(key=lambda r: r.computation.labels)
+    memo[key] = CauseSet(tuple(accepted), ctx, k, exactness, immediate)
     return memo[key]
-
-
-def _in_order(reports: list) -> tuple:
-    """The reports by label word, and those whose cores share a word by
-    their formatted states.  Only nondeterminism makes two cores share a
-    word, so only those cores' states are formatted."""
-    reports.sort(key=lambda r: r.computation.labels)
-    ordered = []
-    for _, same in groupby(reports, key=lambda r: r.computation.labels):
-        same = list(same)
-        if len(same) > 1:
-            same.sort(key=lambda r: tuple(map(format_state, r.computation.states)))
-        ordered += same
-    return tuple(ordered)
 
 
 def _extend_level(lts: Lts, level: list, successful: set) -> list:

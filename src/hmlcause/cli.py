@@ -80,26 +80,29 @@ def cmd_causes(args) -> int:
         import json
 
         print(json.dumps(cause_set.to_json(), indent=2))
-    else:
-        print(f"effect: {hmlcause.format_formula(ctx.formula)}")
-        print(f"bound: {k} ({cause_set.exactness.value})")
-        if cause_set.immediate:
-            print(
-                "note: effect already holds at the initial state; "
-                "immediate-effect policy applies"
-            )
-        if not cause_set.causes:
-            print("no causes")
-        for i, report in enumerate(cause_set.causes, start=1):
-            core = render_word(report.computation.labels)
-            kills = ", ".join(
-                render_word(w) for w in _display_order(report.kill_traces)
-            )
-            line = f"cause {i}: core: {core}"
-            line += f" | kills: {kills}" if kills else " | kills: (none)"
-            if report.computation.truncated:
-                line += " | truncated"
-            print(line)
+        return 0 if cause_set.causes else 1
+    # every line is built before any is written, so a run that fails while
+    # spelling kill words leaves stdout empty
+    lines = [
+        f"effect: {hmlcause.format_formula(ctx.formula)}",
+        f"bound: {k} ({cause_set.exactness.value})",
+    ]
+    if cause_set.immediate:
+        lines.append(
+            "note: effect already holds at the initial state; "
+            "immediate-effect policy applies"
+        )
+    if not cause_set.causes:
+        lines.append("no causes")
+    for i, report in enumerate(cause_set.causes, start=1):
+        core = render_word(report.computation.labels)
+        kills = ", ".join(render_word(w) for w in _display_order(report.kill_traces))
+        line = f"cause {i}: core: {core}"
+        line += f" | kills: {kills}" if kills else " | kills: (none)"
+        if report.computation.truncated:
+            line += " | truncated"
+        lines.append(line)
+    print("\n".join(lines))
     return 0 if cause_set.causes else 1
 
 

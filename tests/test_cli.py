@@ -12,7 +12,7 @@ import pytest
 
 from helpers import FIXTURE_DIR, ROOT, child_env
 from hmlcause import parse_aut
-from hmlcause import cli
+from hmlcause import causality, cli
 from hmlcause.cli import main
 from hmlcause.hml import MAX_FORMULA_DEPTH
 
@@ -445,6 +445,20 @@ def test_running_out_of_memory_ends_in_one_error_line(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cmd_dot", exhausted)
     code, out, err = run(capsys, "dot", T1)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_running_out_of_memory_while_spelling_kill_words_prints_nothing(
+    fmt, monkeypatch, capsys
+):
+    # kill words are spelled only once output is written, so every line is
+    # built before the first is printed
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(causality, "_spell", exhausted)
+    code, out, err = run(capsys, "causes", T4, "<h>tt", "--format", fmt)
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 

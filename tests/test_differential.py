@@ -4,6 +4,7 @@ nondeterministic systems, plus metamorphic checks of the cause sets."""
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional
 
 import pytest
@@ -245,7 +246,7 @@ def test_kernel_matches_word_level_reference(system, k, longest):
         reference = _word_level_evaluate(universe, universe_next, sat, labels)
         if evaluated is not None:
             probes = _probes(universe_next, labels)
-            _assert_same_kills_and_lists(evaluated, reference, probes)
+            _assert_same_kills_and_lists(evaluated, reference, labels, probes)
         assert evaluated == reference
 
 
@@ -292,7 +293,7 @@ def _assert_kernel_matches_on_cores_that_can_escape(drawn, k, cores):
         evaluated = _evaluate_core(space, labels, k)
         reference = _word_level_evaluate(universe, universe_next, effect, labels)
         assert labels + ("e",) in reference[0]
-        _assert_same_kills_and_lists(evaluated, reference, probes)
+        _assert_same_kills_and_lists(evaluated, reference, labels, probes)
         assert evaluated == reference
     return judged
 
@@ -332,17 +333,36 @@ def _probes(universe_next, labels):
     return probes + [labels + ("z",), "".join(labels), None]
 
 
-def _assert_same_kills_and_lists(evaluated, reference, probes):
-    # length first, while the kill set is still unspelled
+def _dag(kill):
+    """A KillSet's slot values, once its slots are checked to be the three
+    of its DAG and no others; () for a frozenset."""
+    if not isinstance(kill, KillSet):
+        return ()
+    slots = [s for cls in type(kill).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots == ["_labels", "_nodes", "_root"] and not hasattr(kill, "__dict__")
+    return tuple(getattr(kill, slot) for slot in slots)
+
+
+def _assert_same_kills_and_lists(evaluated, reference, labels, probes):
+    # length first, while the kill set is still unspelled; a KillSet spells
+    # its words in sorted order on every pass and keeps only its DAG
     kill, dlists, _ = evaluated
     reference_kill, reference_dlists, _ = reference
+    dag = _dag(kill)
     assert len(kill) == len(reference_kill)
     for word in probes:
         assert (word in kill) == (isinstance(word, tuple) and word in reference_kill)
+    assert not any(labels[:i] in kill for i in range(len(labels) + 1))
     with pytest.raises(TypeError):
         [] in kill
-    assert hash(kill) == hash(reference_kill)
+    spelled = list(kill)
+    assert spelled == sorted(reference_kill) and list(kill) == spelled
+    assert hash(kill) == hash(reference_kill) == hash(frozenset(kill))
+    words = frozenset(word for word in probes if isinstance(word, tuple))
+    assert kill & words == reference_kill & words == words & kill
+    assert kill | words == reference_kill | words == words | kill
     assert dlists == reference_dlists and reference_dlists == dlists
+    assert all(map(operator.is_, _dag(kill), dag))
 
 
 def test_kernel_spells_the_loop_family_in_closed_form():
@@ -363,7 +383,7 @@ def test_kernel_spells_the_loop_family_in_closed_form():
     probes = [*closed, ("a",) + ("i",) * k + ("h",), ("a", "h", "h"), ("a", "i")]
     reference = (closed, (tuple(sorted(entries)),), True)
     _assert_same_kills_and_lists(
-        _evaluate_core(space, ("a",), k), reference, probes
+        _evaluate_core(space, ("a",), k), reference, ("a",), probes
     )
     comp, _ = cause_candidate(
         EffectContext(lts, parse_formula("<h>tt")), Core(("s0", "s1"), ("a",)), k
@@ -565,7 +585,7 @@ def test_kernel_judges_dead_ends_where_it_finds_them(role):
                 continue
             kill, _, truncated = evaluated
             _assert_same_kills_and_lists(
-                evaluated, reference, _probes(universe_next, labels)
+                evaluated, reference, labels, _probes(universe_next, labels)
             )
             if role == "straddle":
                 assert truncated and not kill  # a b straddles at k+1 only
@@ -987,6 +1007,42 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
         assert (comp is not None) == admits
         if comp is not None and oracle_check_cause(ctx, comp, k):
             assert emitted.get(core) == comp
+
+
+# three cores share the word a c, two of them through one a-step, and
+# their formatted states order them otherwise than their numbers do
+@example(
+    ctx=EffectContext(
+        make_lts(
+            0,
+            [
+                (0, "a", 9), (0, "a", 10), (9, "c", 5), (10, "c", 4),
+                (10, "c", 11), (5, "b", 6), (4, "b", 6), (11, "b", 6), (6, "a", 6),
+            ],
+        ),
+        parse_formula("<b>tt"),
+    ),
+    k=3,
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ctx=st.one_of(_contexts(), _contexts_with_an_exit()), k=st.integers(1, 3))
+def test_causes_come_by_word_then_by_formatted_states(ctx, k):
+    # `causes` sorts by word alone, stably, so the levels must already list
+    # the cores that share a word by their formatted states.  Writing a
+    # cause out spells its kill words in sorted order and leaves its KillSet
+    # holding its DAG alone
+    reports = causes(ctx, k).causes
+    cores = [
+        (r.computation.labels, tuple(map(format_state, r.computation.states)))
+        for r in reports
+    ]
+    assert cores == sorted(cores)
+    for report in reports:
+        kill = report.kill_traces
+        dag = _dag(kill)
+        spelled = report.to_json()["kill_traces"]
+        assert spelled == [list(word) for word in sorted(frozenset(kill))]
+        assert all(map(operator.is_, _dag(kill), dag))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
