@@ -540,6 +540,8 @@ def cause_candidate(
     unset.  The computation is absent when some condition fails, and the
     report shows the first failure.
     """
+    if k < 0:
+        raise ValueError("bound must be nonnegative")
     _require_valid_core(ctx.lts, core)
     space = _StateSets(ctx.lts, states_satisfying(ctx.lts, ctx.formula))
     judged = _judge(space, core.states, core.labels, k, {})

@@ -11,10 +11,10 @@
   every kill word of every composite cause and classified its projection
   onto the moving component, which `cross_check_disjunction_lifting` is
   held to.
-- The shaped-word universe spelled out word by word, the oracle's trie walk
-  spelled back into words, and the oracle as it was when it reached every
-  traced word letter by letter with `reach` and skipped traced words by
-  their spelling, with its own satisfaction map built with `satisfies`.
+- The shaped-word universe spelled out word by word over the alphabet, and
+  the oracle as it was when it reached every traced word letter by letter
+  with `reach` and skipped traced words by their spelling, on that universe
+  and with its own satisfaction map built with `satisfies`.
 - `validate_computation`, the paper's definition of a computation checked
   requirement by requirement, which the oracle's validity flags must match.
 - `sub_cores`, every core below a given one, as the minimality reference,
@@ -56,6 +56,7 @@ from hmlcause import (
     Top,
     causes,
     format_state,
+    reachable_states,
     states_satisfying,
     step,
 )
@@ -63,7 +64,6 @@ from hmlcause.causality import _require_valid_core
 from hmlcause.composition import _prepare
 from hmlcause.computation import computation_traces, size_compatible
 from hmlcause.lts import State, Word
-from hmlcause.oracle import _oracle_view, _OracleView
 
 
 def successors(lts: Lts, s: State, label: str) -> frozenset:
@@ -194,32 +194,10 @@ def extension_universe(lts: Lts, core: Core, k: int) -> frozenset:
     return frozenset(shaped_words(lts, core.labels, k))
 
 
-def spell_row(rows: list, i: int) -> Word:
-    """The word of trie row i, read off the rows: descend from the root into
-    the child whose subtree holds row i."""
-    word: list[str] = []
-    at = 0
-    while at != i:
-        child = at + 1
-        while rows[child][2] <= i:
-            child = rows[child][2]
-        word.append(rows[child][0])
-        at = child
-    return tuple(word)
-
-
-def shaped_row_words(view: _OracleView, core_labels: Word, k: int) -> list:
-    """(word, reached) for every row the oracle's shape walk yields, in the
-    walk's order."""
-    shaped = view.shape_rows(core_labels, k)
-    rows = view.rows
-    return [(spell_row(rows, i), rows[i][1]) for i in shaped]
-
-
 def _word_admits_candidate(
-    view: _OracleView, sat_map: dict, core_word: Word, k: int
+    lts: Lts, sat_map: dict, core_word: Word, k: int
 ) -> bool:
-    for word, reached in shaped_row_words(view, core_word, k):
+    for word, reached in shaped_words(lts, core_word, k).items():
         flags = {sat_map[s] for s in reached}
         if word == core_word:
             if False in flags:
@@ -230,10 +208,10 @@ def _word_admits_candidate(
 
 
 def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
-    """`oracle_check_details` keyed on words rather than trie rows: every
-    word it checks is reached with `reach`, traced words are skipped in
-    AC2(b) and held to the shape in AC2(c) by their spelling, and
-    satisfaction is evaluated state by state."""
+    """`oracle_check_details` on the shaped words of `shaped_words`: every
+    traced word is reached with `reach`, traced words are skipped in AC2(b)
+    and held to the shape in AC2(c) by their spelling, and satisfaction is
+    evaluated state by state."""
     lts, formula = ctx.lts, ctx.formula
     details = {
         "valid_path": True,
@@ -268,15 +246,14 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
             return details
         traced[word] = reached
 
-    view = _oracle_view(lts)
     sat_map = {s: satisfies(lts, s, formula) for s in lts.states}
     details["ac1"] = sat_map[c.states[-1]]
-    details["ac2a"] = any(not sat_map[s] for s in view.reachable)
+    details["ac2a"] = any(not sat_map[s] for s in reachable_states(lts))
 
     core_word = c.labels
-    shaped = shaped_row_words(view, core_word, k)
+    shaped = shaped_words(lts, core_word, k)
     ac2b = True
-    for word, reached in shaped:
+    for word, reached in shaped.items():
         if word != core_word and word in traced:
             continue
         if any(not sat_map[s] for s in reached):
@@ -284,12 +261,11 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
             break
     details["ac2b"] = ac2b
 
-    universe = {word for word, _ in shaped}
     ac2c = True
     for word, reached in traced.items():
         if word == core_word:
             continue
-        if word not in universe or any(sat_map[s] for s in reached):
+        if word not in shaped or any(sat_map[s] for s in reached):
             ac2c = False
             break
     details["ac2c"] = ac2c
@@ -299,7 +275,7 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
         for smaller in sorted(subwords(core_word)):
             if not any(sat_map[s] for s in reach(lts, lts.initial, smaller)):
                 continue
-            if _word_admits_candidate(view, sat_map, smaller, k):
+            if _word_admits_candidate(lts, sat_map, smaller, k):
                 ac3 = False
                 break
     details["ac3"] = ac3

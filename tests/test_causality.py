@@ -435,6 +435,18 @@ def test_oracle_rejects_non_minimal_core():
     assert details["ac3"] is False
 
 
+def test_a_candidate_and_the_oracle_refuse_a_negative_bound():
+    # at k=0 the core a of t1 is truncated; a negative bound is no bound at
+    # all, as `causes` says, so neither may answer for it
+    t1 = fixture_context("t1")
+    core = Core(("s10", "s11"), ("a",))
+    comp, _ = cause_candidate(t1, core, 0)
+    assert comp is not None and comp.truncated
+    for check in (cause_candidate, oracle_check_details, oracle_check_cause):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            check(t1, core if check is cause_candidate else comp, -1)
+
+
 # ---------------------------------------------------------------- properties
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -59,9 +60,7 @@ from reference import (
     satisfies,
     searched_interleave,
     searched_live,
-    shaped_row_words,
     shaped_words,
-    spell_row,
     subwords,
     successors,
     validate_computation,
@@ -740,9 +739,9 @@ def test_oracle_walk_matches_shaped_words_and_the_full_shape_filter(
         cores.append(tuple(longest))
     table = _executable_words(lts, max(map(len, cores)) * (k + 1))
     view = _OracleView(lts)
-    # shortest cores first grow the trie, then the deepest trie serves all
+    # every core twice, so the second walks read moves the first ones kept
     for labels in cores + cores[::-1]:
-        walked = shaped_row_words(view, labels, k)
+        walked = list(view.shaped(labels, k))
         assert len({word for word, _ in walked}) == len(walked)
         walked = dict(walked)
         assert walked == shaped_words(lts, labels, k)
@@ -753,35 +752,17 @@ def test_oracle_walk_matches_shaped_words_and_the_full_shape_filter(
         }
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(system=_systems(), m=st.integers(0, 1), k=st.integers(0, 2))
-def test_trie_lookup_equals_reach_up_to_two_letters_past_its_depth(system, m, k):
-    lts, _ = system
-    alphabet = sorted(lts.alphabet)
-    view = _OracleView(lts)
-    view.shape_rows(tuple(alphabet[:m]), k)
-    depth = view._depth
-    for n in range(depth + 3):
-        for word in itertools.product(alphabet, repeat=n):
-            row, reached = view.lookup(word)
-            assert reached == reach(lts, lts.initial, word)
-            if row is None:
-                assert not reached or n > depth
-            else:
-                assert spell_row(view.rows, row) == word
-                assert view.rows[row][1] == reached
+class _CountingView(_OracleView):
+    """An oracle view that counts, per state set, the words a walk enters:
+    a walk asks for the moves of every word it enters and of no other."""
 
+    def __init__(self, lts: Lts) -> None:
+        super().__init__(lts)
+        self.entered: Counter = Counter()
 
-class _ReadRows(list):
-    """Trie rows that record the index of every row read."""
-
-    def __init__(self, rows: list) -> None:
-        super().__init__(rows)
-        self.read: set = set()
-
-    def __getitem__(self, i):
-        self.read.add(i)
-        return super().__getitem__(i)
+    def moves(self, reached: frozenset) -> list:
+        self.entered[reached] += 1
+        return super().moves(reached)
 
 
 def _most_consumed(word: tuple, core_labels: tuple, k: int) -> Optional[int]:
@@ -800,83 +781,74 @@ def _most_consumed(word: tuple, core_labels: tuple, k: int) -> Optional[int]:
     return max((consumed for consumed, _ in positions), default=None)
 
 
-def test_the_shape_walk_enters_no_row_too_shallow_to_finish_the_core():
+def test_the_shape_walk_enters_no_word_too_shallow_to_finish_the_core():
     # corpus instance 3's "both effects" cores have 6 letters and its product's
-    # longest path is its bound 8, so most subtrees are too shallow to spell
-    # the core letters still missing.  A walk reads the rows it enters and
-    # their children, and nothing else; the exact walk, which runs at this
-    # bound, also takes every row that finishes the core with its subtree
-    # whole, where the gapped walk enters it
+    # longest path is its bound 8, so most words end too soon to spell the
+    # core letters still missing.  A word's height, the most letters a word
+    # below it adds, is the largest height of the states it reaches.  Both
+    # walks run at this bound and enter the same words: the exact walk, like
+    # the gapped one, enters every word below one that finishes the core
     inst = list(corpus(4, seed=7))[3]
     k = inst.bound
     both = EffectContext(
         interleave(inst.left.lts, inst.right.lts),
         And(inst.left.formula, inst.right.formula),
     )
-    view = _OracleView(both.lts)
+    lts = both.lts
+    table = _executable_words(lts, k)
+    heights = dict.fromkeys(table, 0)
+    children: dict = {word: [] for word in table}
+    for word in sorted(table, key=len, reverse=True)[:-1]:
+        heights[word[:-1]] = max(heights[word[:-1]], heights[word] + 1)
+        children[word[:-1]].append(word)
+    view = _OracleView(lts)
     assert view.longest == k
+    assert all(
+        max(view._heights[s] for s in table[word]) == height
+        for word, height in heights.items()
+    )
     found = causes(both, k).causes
-    view.shape_rows(found[0].computation.labels, k)
-    rows = view.rows
-    spelled = [spell_row(rows, i) for i in range(len(rows))]
-    heights = [
-        max(len(word) for word in spelled[i : rows[i][2]]) - len(spelled[i])
-        for i in range(len(rows))
-    ]
-    assert [row[3] for row in rows] == heights
-    children = [
-        [j for j in range(i + 1, rows[i][2]) if len(spelled[j]) == len(spelled[i]) + 1]
-        for i in range(len(rows))
-    ]
-    entered = without_whole_subtrees = without_heights = 0
+    entered = without_heights = 0
     for report in found:
         core = report.computation.labels
         m = len(core)
-        consumed = [_most_consumed(word, core, k) for word in spelled]
-        expected = _entered_rows(children, consumed, heights, m, finished=False)
-        gapped_expected = _entered_rows(children, consumed, heights, m)
-        exact, gapped = _ReadRows(rows), _ReadRows(rows)
-        walked = list(view.shape_rows(core, k))
-        assert list(_OracleView._exact_walk(exact, core)) == walked
-        assert sorted(_OracleView._walk(gapped, core, k)) == sorted(walked)
-        assert exact.read == {0} | {j for i in expected for j in children[i]}
-        assert gapped.read == {0} | {j for i in gapped_expected for j in children[i]}
+        consumed = {word: _most_consumed(word, core, k) for word in table}
+        expected = _entered_words(children, consumed, heights, m)
+        exact, gapped = _CountingView(lts), _CountingView(lts)
+        walked = dict(exact.shaped(core, k))
+        assert walked == dict(gapped._walk(core, k))
+        assert walked == {
+            word: reached
+            for word, reached in table.items()
+            if _matches_shape_bounded(word, core, k)
+        }
+        assert exact.entered == gapped.entered == Counter(map(table.get, expected))
         entered += len(expected)
-        without_whole_subtrees += len(gapped_expected)
-        without_heights += len(_entered_rows(children, consumed, heights, 0))
-    # the gapped walk, without the whole-subtree rule, enters 4,641 rows for
-    # these cores, and without the height rule as well 24,180
-    assert (len(found), entered, without_whole_subtrees, without_heights) == (
-        60,
-        3_991,
-        4_641,
-        24_180,
-    )
+        without_heights += len(_entered_words(children, consumed, heights, 0))
+    # both walks enter 4,641 words for these cores, 650 of them at or below
+    # a word that finishes its core; without the height rule they would
+    # enter 24,180
+    assert (len(found), entered, without_heights) == (60, 4_641, 24_180)
 
 
-def _entered_rows(
-    children: list, consumed: list, heights: list, m: int, finished: bool = True
-) -> set:
-    """The rows below which a shaped word can still spell m core letters,
-    reached from the root through such rows; m=0 keeps every row that
-    starts a shaped word.  With finished=False a row that has consumed all
-    m letters is not entered either."""
-    entered, stack = {0}, [0]
+def _entered_words(children: dict, consumed: dict, heights: dict, m: int) -> set:
+    """The words below which a shaped word can still spell m core letters,
+    reached from the empty word through such words; m=0 keeps every word
+    that starts a shaped word."""
+    entered, stack = {()}, [()]
     while stack:
-        for j in children[stack.pop()]:
-            if consumed[j] is None or consumed[j] + heights[j] < m:
-                continue
-            if finished or consumed[j] < m:
-                entered.add(j)
-                stack.append(j)
+        for word in children[stack.pop()]:
+            if consumed[word] is not None and consumed[word] + heights[word] >= m:
+                entered.add(word)
+                stack.append(word)
     return entered
 
 
-def test_the_exact_walk_yields_the_rows_of_the_gapped_walk_and_of_shaped_words():
+def test_the_exact_walk_yields_the_words_of_the_gapped_walk_and_of_shaped_words():
     # at a bound that covers an acyclic system's longest path the shape walk
-    # carries only the greedy consumed count; its rows must be those of the
+    # carries only the greedy consumed count; its words must be those of the
     # gapped walk and of the shaped words.  The drawn cycle lies outside the
-    # reachable part, and at least half the draws must yield a row
+    # reachable part, and at least half the draws must yield a word
     yielding_draws = []
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -889,15 +861,13 @@ def test_the_exact_walk_yields_the_rows_of_the_gapped_walk_and_of_shaped_words()
         yielded = 0
         for m in range(1, 4):
             for labels in itertools.product(alphabet, repeat=m):
-                shaped = view.shape_rows(labels, k)
+                shaped = view.shaped(labels, k)
                 assert shaped.gi_code is _OracleView._exact_walk.__code__
                 walked = list(shaped)
-                assert len(set(walked)) == len(walked)
-                gapped = _OracleView._walk(view.rows, labels, k)
-                assert sorted(walked) == sorted(gapped)
-                assert {
-                    spell_row(view.rows, i): view.rows[i][1] for i in walked
-                } == shaped_words(lts, labels, k)
+                assert len({word for word, _ in walked}) == len(walked)
+                walked = dict(walked)
+                assert walked == dict(view._walk(labels, k))
+                assert walked == shaped_words(lts, labels, k)
                 yielded += len(walked)
         yielding_draws.append(yielded > 0)
 
@@ -962,16 +932,13 @@ def test_the_subword_walk_yields_the_executable_proper_subwords(system, k, longe
         labels for m in range(4) for labels in itertools.product(alphabet, repeat=m)
     ]
     view = _OracleView(lts)
-    # the longest core first grows the trie deeper than the later cores need
-    for labels in cores + cores[:1]:
-        view.shape_rows(labels, k)
-        walked = list(view.subword_rows(labels))
-        assert len({word for _, word in walked}) == len(walked)
-        for row, word in walked:
-            assert spell_row(view.rows, row) == word
-            assert view.rows[row][1] == reach(lts, lts.initial, word)
-        assert {word for _, word in walked} == {
-            word for word in subwords(labels) if reach(lts, lts.initial, word)
+    for labels in cores:
+        walked = list(view.subwords(labels))
+        assert len({word for word, _ in walked}) == len(walked)
+        assert dict(walked) == {
+            word: reach(lts, lts.initial, word)
+            for word in subwords(labels)
+            if reach(lts, lts.initial, word)
         }
 
 
@@ -1141,7 +1108,7 @@ def test_oracle_rejects_a_trace_longer_than_the_bound(name, k, entry):
 def _lengthened(lts: Lts, comp: Computation, k: int):
     """The computation with the first entry of its last extension list made
     longer than k: once by an executable suffix that carries its trace past
-    the trie the oracle walks for this core, once by an executable suffix to
+    every shaped word of this core, once by an executable suffix to
     length k and then a letter the trace cannot take there."""
     m = len(comp.labels)
     if not m or not comp.dlists[-1]:
@@ -1174,8 +1141,7 @@ def _lengthened(lts: Lts, comp: Computation, k: int):
 
 
 def _mutations(ctx: EffectContext, comp: Computation, k: int):
-    """(context, computation, bound) for the cause and each mutation of it,
-    the lengthened ones before k + 1 can grow the trie past them."""
+    """(context, computation, bound) for the cause and each mutation of it."""
     yield ctx, comp, k
     for longer in _lengthened(ctx.lts, comp, k):
         yield ctx, longer, k
