@@ -253,7 +253,7 @@ def _evaluate_core(space: _StateSets, labels: Word, k: int) -> Optional[tuple]:
     outside the effect.  No word is spelled here: the kill set is a KillSet
     over the productive sub-DAG (the nodes from which a kill node can be
     reached) and the extension lists are an ExtensionLists that spells them
-    off the same DAG when first read.  Without kill words they are an empty
+    off the same DAG on every read.  Without kill words they are an empty
     frozenset and m empty tuples.
 
     AC2(c) needs no check of its own: every kill word is executable and
@@ -466,42 +466,36 @@ class KillSet(Set):
 
 
 class ExtensionLists(Sequence):
-    """A core's m extension lists, spelled off its KillSet's DAG on first
-    read and kept; equal to and hashed as the tuple of tuples they are."""
+    """A core's m extension lists, spelled off its KillSet's DAG on every
+    read and kept nowhere; equal to and hashed as the tuple of tuples they
+    are.  `len` is m and spells nothing."""
 
-    __slots__ = ("_kill", "_cache")
+    __slots__ = ("_kill",)
 
     def __init__(self, kill: KillSet) -> None:
         self._kill = kill
-        self._cache: Optional[tuple] = None
-
-    def _lists(self) -> tuple:
-        if self._cache is None:
-            kill = self._kill
-            spelled = _spell(kill._labels, kill._nodes, kill._root)
-            # a productive DAG holds a kill word, so there are m lists
-            self._cache = tuple(zip(*(entries for _, entries in spelled)))
-        return self._cache
 
     def __len__(self) -> int:
         return len(self._kill._labels)
 
     def __getitem__(self, i):
-        return self._lists()[i]
+        return tuple(self)[i]
 
     def __iter__(self):
-        return iter(self._lists())
+        kill = self._kill
+        spelled = _spell(kill._labels, kill._nodes, kill._root)
+        # a productive DAG holds a kill word, so there are m lists
+        return zip(*(entries for _, entries in spelled))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ExtensionLists):
-            other = other._lists()
-        return self._lists() == other
+        # the tuple defers to other lists, whose own __eq__ then spells them
+        return tuple(self) == other
 
     def __hash__(self) -> int:
-        return hash(self._lists())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(self._lists())
+        return repr(tuple(self))
 
 
 # What `_judge` can find before minimality is asked
@@ -558,8 +552,10 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     already admits a candidate, which is exactly the minimality condition.
     So when the effect already holds initially, the empty core is the only
     possible cause: it is one when some reachable state escapes the effect,
-    and nothing is otherwise.  The cause set is kept in the system's memo,
-    so asking again for the same formula and bound returns it.
+    and nothing is otherwise.  A core whose last state has no path into the
+    effect is not extended: every extension fails AC1, so none is a cause
+    or a successful word.  The cause set is kept in the system's memo, so
+    asking again for the same formula and bound returns it.
     """
     lts = ctx.lts
     if k is None:
@@ -573,20 +569,21 @@ def causes(ctx: EffectContext, k: Optional[int] = None) -> CauseSet:
     exact = exploration_is_exact(lts, k)
     exactness = Exactness.EXACT if exact else Exactness.BOUNDED_APPROX
     space = _StateSets(lts, sat)
+    finishing = space._reaching(space.sat)
     successful_words: set[Word] = set()
     evaluated: dict[Word, Optional[tuple]] = {}
     accepted: list[CauseReport] = []
     level: list[tuple[tuple, Word]] = [((lts.initial,), ())]
     for length in range(k + 1):
-        # a cause is not extended, and neither is a core that fails AC2(a),
-        # since every core then does
+        # a cause is not extended, nor a core that fails AC2(a), since every
+        # core then does, nor one that can no longer end in the effect
         open_cores = []
         for states, labels in level:
             judged = _judge(space, states, labels, k, evaluated)
             if isinstance(judged, CauseReport):
                 successful_words.add(labels)
                 accepted.append(judged)
-            elif judged is not _AC2A_FAILS:
+            elif judged is not _AC2A_FAILS and finishing >> space.index[states[-1]] & 1:
                 open_cores.append((states, labels))
         if length == k or not open_cores:
             break

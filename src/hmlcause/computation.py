@@ -37,7 +37,7 @@ class Computation:
 
     `dlists` is any sequence of m size-compatible lists: the same number of
     entries on every step, one per expanded trace.  The cause engine's
-    lists are spelled on first read.  `truncated` records that the lists
+    lists are spelled on every read.  `truncated` records that the lists
     were cut off at an exploration bound and would grow at a larger one.
     """
 

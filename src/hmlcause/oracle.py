@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import inf
 
-from .computation import Computation, computation_traces, size_compatible
+from .computation import Computation, computation_traces
 from .hml import EffectContext, states_satisfying
 from .lts import Lts, Word, _settle, longest_acyclic_path, reachable_states, step
 
@@ -175,7 +175,9 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     if c.states[0] != lts.initial:
         details["valid_path"] = False
         return details
-    if not size_compatible(c.dlists):
+    try:
+        traces = computation_traces(c)  # reads the lists once
+    except ValueError:  # they are not size-compatible
         details["valid_sizes"] = False
         return details
 
@@ -183,7 +185,7 @@ def oracle_check_details(ctx: EffectContext, c: Computation, k: int) -> dict:
     core_word = c.labels
     shaped = dict(view.shaped(core_word, k))
     traced: dict[Word, frozenset] = {}
-    for word in computation_traces(c):
+    for word in traces:
         reached = shaped.get(word)
         if reached is None:
             reached = frozenset({lts.initial})

@@ -296,6 +296,28 @@ def test_a_huge_bound_stops_once_the_empty_core_is_judged(escapes):
     assert [c.computation.labels for c in cause_set.causes] == ([()] if escapes else [])
 
 
+@pytest.mark.parametrize(
+    "transitions, effect, cause_words",
+    [
+        # no state satisfies the effect, so the empty core cannot reach it
+        ([(0, "a", 0), (0, "b", 1)], "<b><a>tt", []),
+        # a leads into a loop outside the effect, b into the effect
+        ([(0, "a", 1), (1, "a", 1), (0, "b", 2)], "[a]ff", [("b",)]),
+    ],
+    ids=["spin-no-cause", "loop-off-the-effect"],
+)
+def test_a_huge_bound_stops_once_no_open_core_can_reach_the_effect(
+    transitions, effect, cause_words
+):
+    # cyclic, so no level is empty: a core whose last state has no path
+    # into the effect fails AC1 with every extension, and is not extended
+    ctx = EffectContext(make_lts(0, transitions), parse_formula(effect))
+    start = time.perf_counter()
+    cause_set = causes(ctx, 10**18)
+    assert time.perf_counter() - start < 2.0
+    assert [c.computation.labels for c in cause_set.causes] == cause_words
+
+
 def test_causes_default_bound_is_state_count():
     t1 = fixture_context("t1")
     assert default_bound(t1.lts) == 3

@@ -7,9 +7,9 @@ space limited to MEMORY_LIMIT, set in `preexec_fn`, which acts on that
 child only, and is killed after TIMEOUT_S seconds.  The loop at bound 20
 has more kill words than fit in the limit: `causes` spells them only as
 its output is built, so the run ends with `error: out of memory`, exit 2
-and nothing on stdout.  Inputs that break the contract today, a cyclic
-system at a bound of 10**18, stay on the list as strict expected failures,
-with the reason, until they are mended.
+and nothing on stdout.  An input that breaks the contract today, a cyclic
+system at a bound of 10**18 whose cause leaves a loop open, stays on the
+list as a strict expected failure, with the reason, until it is mended.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ AUT = {
     "reserved": 'des (0,1,2)\n(0,"a<",1)\n',
     # the kill_blowup loop: 2^k - 1 kill words for <h>tt at bound k
     "loop": 'des (0,4,3)\n(0,"a",1)\n(1,"i",1)\n(1,"j",1)\n(1,"h",2)\n',
-    # no core closes, so the level loop runs once per unit of the bound
+    # a loop at the initial state and one way out of it
     "spin": 'des (0,2,2)\n(0,"a",0)\n(0,"b",1)\n',
 }
 
 HUGE_BOUND_SPINS = (
-    "each a^n fails AC1 and is extended, so the level loop runs once per "
-    "unit of a bound of 10**18"
+    "state 0 reaches the effect only through b, and every such extension "
+    "of a^n embeds the cause b; so each a^n fails AC1 and is extended, and "
+    "the level loop runs once per unit of a bound of 10**18"
 )
 
 
@@ -65,9 +66,9 @@ CASES = {
     "loop-out-of-memory-json": [
         "causes", "loop", "<h>tt", "--bound", "20", "--format", "json",
     ],
-    "huge-bound-cyclic-no-cause": known_failure(
-        ["causes", "spin", "<b><a>tt", "--bound", HUGE_BOUND], HUGE_BOUND_SPINS
-    ),
+    "huge-bound-cyclic-no-cause": [
+        "causes", "spin", "<b><a>tt", "--bound", HUGE_BOUND,
+    ],
     "huge-bound-cyclic-cause": known_failure(
         ["causes", "spin", "[a]ff", "--bound", HUGE_BOUND], HUGE_BOUND_SPINS
     ),

@@ -42,6 +42,7 @@ from hmlcause import (
     step,
     verify_disjunction_theorem,
 )
+from hmlcause import causality
 from hmlcause.causality import (
     KillSet,
     _evaluate_core,
@@ -388,6 +389,59 @@ def test_kernel_spells_the_loop_family_in_closed_form():
         EffectContext(lts, parse_formula("<h>tt")), Core(("s0", "s1"), ("a",)), k
     )
     assert computation_traces(comp) == closed
+
+
+def _handoff_loop() -> EffectContext:
+    """s0 -a-> s1 -b-> s2, s2 -{i,j}-> s2, s2 -h-> s3 with effect <h>tt: the
+    one cause is a b, and its second extension list is {i,j}^j h."""
+    lts = make_lts(
+        "s0",
+        [
+            ("s0", "a", "s1"),
+            ("s1", "b", "s2"),
+            ("s2", "i", "s2"),
+            ("s2", "j", "s2"),
+            ("s2", "h", "s3"),
+        ],
+    )
+    return EffectContext(lts, parse_formula("<h>tt"))
+
+
+def test_extension_lists_hold_their_kill_set_alone_after_every_read():
+    # the lists are spelled off the kill DAG on every read and kept nowhere
+    k = 4
+    (report,) = causes(_handoff_loop(), k).causes
+    kill, dlists = report.kill_traces, report.computation.dlists
+    dag = _dag(kill)
+    middles = sorted(
+        middle + ("h",)
+        for j in range(k)
+        for middle in itertools.product("ij", repeat=j)
+    )
+    expected = (((),) * len(middles), tuple(middles))
+    first = tuple(dlists)
+    assert first == expected and tuple(dlists) == first and list(dlists) == list(first)
+    assert dlists[1] == expected[1] and dlists[:1] == expected[:1]
+    assert dlists == expected and expected == dlists and dlists == dlists
+    assert hash(dlists) == hash(expected) and repr(dlists) == repr(expected)
+    slots = [s for cls in type(dlists).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots == ["_kill"] and not hasattr(dlists, "__dict__")
+    assert dlists._kill is kill and all(map(operator.is_, _dag(kill), dag))
+
+
+def test_the_oracle_spells_a_causes_lists_once_per_check(monkeypatch):
+    ctx = _handoff_loop()
+    (report,) = causes(ctx, 4).causes
+    spell, spelled = causality._spell, []
+
+    def counted(*args):
+        spelled.append(args)
+        return spell(*args)
+
+    monkeypatch.setattr(causality, "_spell", counted)
+    for checks in (1, 2, 3):
+        assert oracle_check_cause(ctx, report.computation, 4)
+        assert len(spelled) == checks
 
 
 def test_kernel_truncates_when_the_next_bound_adds_a_kill_word():

@@ -113,8 +113,8 @@ def systems(value) -> list:
 def fill_caches(value) -> None:
     """Hash value, read a formula's alphabet, and for a system run `causes`
     at bound 12 with its effect, or with `<label>tt` for each label, and
-    read every kill set, so that the memo holds cause sets and spelled kill
-    words."""
+    read every kill set and extension lists, so that the memo holds cause
+    sets whose kill words and lists were spelled."""
     hash(value)
     if isinstance(value, EffectContext):
         contexts = [value]
@@ -126,6 +126,7 @@ def fill_caches(value) -> None:
     for ctx in contexts:
         for cause in causes(ctx, 12).causes:
             list(cause.kill_traces)
+            list(cause.computation.dlists)
     assert all(system._memo for system in systems(value))
 
 
