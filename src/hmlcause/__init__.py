@@ -33,7 +33,6 @@ _EXPORTS = {
         "Computation",
         "Core",
         "computation_traces",
-        "size_compatible",
     ),
     "hml": (
         "And",
@@ -67,7 +66,6 @@ _EXPORTS = {
         "make_lts",
         "parse_aut",
         "reachable_states",
-        "restrict_to_reachable",
         "step",
     ),
     "oracle": (
@@ -78,8 +76,6 @@ _EXPORTS = {
         "CorpusInstance",
         "GenParams",
         "corpus",
-        "fixture_context",
-        "fixtures",
         "gen_effect",
         "gen_lts",
     ),

@@ -39,11 +39,10 @@ class ConditionReport:
     ac1: Optional[bool] = None
     ac2a: Optional[bool] = None
     ac2b: Optional[bool] = None
-    ac3: Optional[bool] = None
 
     @property
     def first_failed(self) -> Optional[str]:
-        for name in ("ac1", "ac2a", "ac2b", "ac3"):
+        for name in ("ac1", "ac2a", "ac2b"):
             if getattr(self, name) is False:
                 return name.upper()
         return None

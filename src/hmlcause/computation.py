@@ -61,12 +61,6 @@ class Computation:
         return not self.labels
 
 
-def size_compatible(dlists: Sequence[Sequence[Word]]) -> bool:
-    """All extension lists have the same length."""
-    lengths = {len(dl) for dl in dlists}
-    return len(lengths) <= 1
-
-
 def computation_traces(c: Computation) -> frozenset:
     """Expand a computation into the set of full words.
 
@@ -75,7 +69,7 @@ def computation_traces(c: Computation) -> frozenset:
     entry position; only those spliced words are traces.
     """
     labels, dlists = c.labels, tuple(c.dlists)
-    if not size_compatible(dlists):
+    if len({len(dl) for dl in dlists}) > 1:
         raise ValueError("extension lists are not size-compatible")
     count = len(dlists[0]) if dlists else 0
     if count == 0:

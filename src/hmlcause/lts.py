@@ -274,16 +274,13 @@ def choice(left: Lts, right: Lts) -> Lts:
         transitions,
         extra_labels=left.alphabet | right.alphabet,
     )
-    return restrict_to_reachable(full)
-
-
-def restrict_to_reachable(lts: Lts) -> Lts:
-    keep = reachable_states(lts)
+    keep = reachable_states(full)
+    # the target of a reachable state's edge is reachable too
     return Lts(
         keep,
-        lts.initial,
-        lts.alphabet,
-        frozenset(t for t in lts.transitions if t[0] in keep and t[2] in keep),
+        full.initial,
+        full.alphabet,
+        frozenset(t for t in full.transitions if t[0] in keep),
     )
 
 

@@ -1,9 +1,7 @@
-"""Canonical fixtures and seeded random instance generation.
+"""Seeded random instance generation.
 
-The fixtures are the small systems the rest of the test suite reasons
-about; the generators produce acyclic, deterministic, disjoint-alphabet
-component pairs suitable for checking the composition laws at an exact
-bound.
+The generators produce acyclic, deterministic, disjoint-alphabet component
+pairs suitable for checking the composition laws at an exact bound.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from .hml import (
     Not,
     Or,
     _evaluate,
-    parse_formula,
 )
-from .lts import Lts, longest_acyclic_path, make_lts, reachable_states
+from .lts import Lts, longest_acyclic_path, reachable_states
 
 
 @dataclass(frozen=True)
@@ -131,73 +128,6 @@ def gen_effect(p: GenParams, lts: Lts) -> Formula:
         f"no usable effect found in {RETRY_BUDGET} draws; "
         "the system is too degenerate"
     )
-
-
-def fixtures() -> dict:
-    """The canonical named systems, each paired with its effect formula."""
-    t1 = make_lts("s10", [("s10", "a", "s11"), ("s11", "h", "s12")])
-    t2 = make_lts(
-        "s20",
-        [("s20", "h", "s20"), ("s20", "a", "s21"), ("s21", "h", "s21")],
-    )
-    t3 = make_lts(
-        "s30",
-        [("s30", "a", "s31"), ("s30", "a", "s32"), ("s31", "h", "s33")],
-    )
-    t4 = make_lts(
-        "s40",
-        [
-            ("s40", "a", "s42"),
-            ("s42", "h", "s45"),
-            ("s42", "b", "s43"),
-            ("s43", "h", "s46"),
-            ("s43", "b", "s44"),
-        ],
-    )
-    t5 = make_lts(
-        "s50",
-        [("s50", "a", "s51"), ("s51", "i", "s51"), ("s51", "h", "s52")],
-    )
-    t6 = make_lts(
-        "s60",
-        [
-            ("s60", "a", "s61"),
-            ("s61", "h", "s64"),
-            ("s61", "b", "s62"),
-            ("s62", "h", "s67"),
-            ("s60", "a", "s63"),
-            ("s63", "b", "s65"),
-            ("s65", "h", "s66"),
-        ],
-    )
-    fig3_t = make_lts(
-        "s0", [("s0", "a", "s1"), ("s1", "h", "s2"), ("s0", "b", "s3")]
-    )
-    fig3_tp = make_lts(
-        "p0",
-        [
-            ("p0", "d", "p1"),
-            ("p1", "e", "p2"),
-            ("p2", "h'", "p3"),
-            ("p0", "f", "p4"),
-        ],
-    )
-    h = parse_formula("<h>tt")
-    return {
-        "t1": (t1, h),
-        "t2": (t2, h),
-        "t3": (t3, h),
-        "t4": (t4, h),
-        "t5": (t5, h),
-        "t6": (t6, h),
-        "fig3_t": (fig3_t, h),
-        "fig3_tp": (fig3_tp, parse_formula("<h'>tt")),
-    }
-
-
-def fixture_context(name: str) -> EffectContext:
-    lts, formula = fixtures()[name]
-    return EffectContext(lts, formula)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hmlcause import (
     Top,
     gen_lts,
     make_lts,
+    parse_aut,
     parse_formula,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
@@ -25,6 +26,16 @@ from hmlcause import (
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURE_DIR.glob("*.aut"))
+
+
+def fixture_context(name: str) -> EffectContext:
+    """The example system `fixtures/<name>.aut` with the effect in
+    `fixtures/<name>.formula`; its states are the file's indices."""
+    return EffectContext(
+        parse_aut((FIXTURE_DIR / f"{name}.aut").read_text()),
+        parse_formula((FIXTURE_DIR / f"{name}.formula").read_text()),
+    )
 
 
 def child_env() -> dict:

@@ -62,7 +62,7 @@ from hmlcause import (
 )
 from hmlcause.causality import _require_valid_core
 from hmlcause.composition import _prepare
-from hmlcause.computation import computation_traces, size_compatible
+from hmlcause.computation import computation_traces
 from hmlcause.lts import State, Word
 
 
@@ -280,6 +280,11 @@ def word_oracle_details(ctx: EffectContext, c: Computation, k: int) -> dict:
                 break
     details["ac3"] = ac3
     return details
+
+
+def size_compatible(dlists) -> bool:
+    """All extension lists have the same length."""
+    return len({len(dl) for dl in dlists}) <= 1
 
 
 def traces(pairs: Sequence[tuple[str, Sequence[Word]]]) -> frozenset:

@@ -8,7 +8,15 @@ import random
 import time
 from pathlib import Path
 
-from helpers import ROOT, init_actions, rand_formula, verify_both, w, words
+from helpers import (
+    ROOT,
+    fixture_context,
+    init_actions,
+    rand_formula,
+    verify_both,
+    w,
+    words,
+)
 from reference import Classification, classify_word, traces
 from hmlcause import (
     And,
@@ -38,7 +46,6 @@ from hmlcause import (
     verify_disjunction_theorem,
     write_counterexample_bundle,
 )
-from hmlcause.testkit import fixture_context
 
 BUNDLE_ROOT = ROOT / "counterexamples"
 
@@ -87,14 +94,14 @@ def test_criterion_02_branching_kills_and_rejections():
         assert cause.kill_traces == words("ah", "abb", "abh")
 
         # same core with its kill traces stripped: placement now fails
-        hollow = Computation(("s40", "s42"), ("a",), (((),),))
+        hollow = Computation((0, 1), ("a",), (((),),))
         details = oracle_check_details(ctx, hollow, 3)
         assert details["ac2b"] is False or details["ac2c"] is False
         assert not oracle_check_cause(ctx, hollow, 3)
 
         # the two-step extension is well-formed but not minimal
         comp, _report = cause_candidate(
-            ctx, Core(("s40", "s42", "s43"), ("a", "b")), 3
+            ctx, Core((0, 1, 2), ("a", "b")), 3
         )
         assert comp is not None
         assert oracle_check_details(ctx, comp, 3)["ac3"] is False
@@ -217,10 +224,10 @@ def test_criterion_08_disjunction_law_with_witness():
         )
         assert report.verdict == "holds"
         assert report.witness == {
-            "(s0,p0)": "+",
-            "(s0,p1)": "R:p1",
-            "(s0,p2)": "R:p2",
-            "(s1,p0)": "L:s1",
+            "(0,0)": "+",
+            "(0,1)": "R:1",
+            "(0,3)": "R:3",
+            "(1,0)": "L:1",
         }
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import ROOT, fixture_context
 import hmlcause
 from hmlcause import testkit
 
@@ -55,8 +56,6 @@ PUBLIC = [
     "emit_aut",
     "emit_dot",
     "exploration_is_exact",
-    "fixture_context",
-    "fixtures",
     "format_formula",
     "format_state",
     "formula_alphabet",
@@ -71,10 +70,8 @@ PUBLIC = [
     "parse_aut",
     "parse_formula",
     "reachable_states",
-    "restrict_to_reachable",
     "satisfies",
     "shrink_counterexample",
-    "size_compatible",
     "states_satisfying",
     "step",
     "verify_conjunction_theorem",
@@ -116,6 +113,16 @@ def test_unknown_names_are_errors():
 
 def test_corpus_takes_only_a_count_and_a_seed():
     assert list(inspect.signature(testkit.corpus).parameters) == ["count", "seed"]
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    # the example reads fixtures/ by relative path, as from the repository root
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "('a',) ['abb', 'abh', 'ah']\n"
 
 
 def test_the_cli_reads_only_exported_names():
@@ -164,7 +171,7 @@ def test_the_oracle_writes_to_a_systems_memo_only_through_the_system():
     # the oracle reads a system through `outgoing`, `reachable_states`,
     # `longest_acyclic_path` and `states_satisfying`, which keep what they
     # derive in the memo, and keeps its own view out of it
-    ctx = testkit.fixture_context("t5")
+    ctx = fixture_context("t5")
     k = 2
     found = hmlcause.causes(ctx, k).causes
     # with a label no other test adds, so that no cached view of an equal

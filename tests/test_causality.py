@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import w, words
+from helpers import fixture_context, w, words
 from reference import (
     Classification,
     classify_word,
@@ -19,6 +19,7 @@ from reference import (
 from hmlcause import (
     CauseReport,
     Computation,
+    ConditionReport,
     Core,
     EffectContext,
     Exactness,
@@ -33,9 +34,6 @@ from hmlcause import (
     oracle_check_details,
     parse_formula,
 )
-from hmlcause.testkit import fixture_context, fixtures
-
-FIX = fixtures()
 
 
 # ---------------------------------------------------------------- classify
@@ -61,29 +59,29 @@ def test_classify_empty_word():
 
 
 def test_extension_universe_linear():
-    t1 = FIX["t1"][0]
-    core = Core(("s10", "s11"), ("a",))
+    t1 = fixture_context("t1").lts
+    core = Core((0, 1), ("a",))
     assert extension_universe(t1, core, 2) == words("a", "ah")
 
 
 def test_extension_universe_branching():
-    t4 = FIX["t4"][0]
-    core = Core(("s40", "s42"), ("a",))
+    t4 = fixture_context("t4").lts
+    core = Core((0, 1), ("a",))
     assert extension_universe(t4, core, 2) == words(
         "a", "ab", "ah", "abb", "abh"
     )
 
 
 def test_extension_universe_bound_zero():
-    t4 = FIX["t4"][0]
-    core = Core(("s40", "s42"), ("a",))
+    t4 = fixture_context("t4").lts
+    core = Core((0, 1), ("a",))
     assert extension_universe(t4, core, 0) == words("a")
 
 
 def test_extension_universe_rejects_foreign_core():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     with pytest.raises(ValueError):
-        extension_universe(t1, Core(("s11", "s12"), ("h",)), 2)
+        extension_universe(t1, Core((1, 2), ("h",)), 2)
 
 
 # ---------------------------------------------------------------- candidate
@@ -91,15 +89,17 @@ def test_extension_universe_rejects_foreign_core():
 
 def test_candidate_accepts_linear_handoff():
     t1 = fixture_context("t1")
-    comp, report = cause_candidate(t1, Core(("s10", "s11"), ("a",)), 2)
-    assert comp == Computation(("s10", "s11"), ("a",), ((w("h"),),))
+    comp, report = cause_candidate(t1, Core((0, 1), ("a",)), 2)
+    assert comp == Computation((0, 1), ("a",), ((w("h"),),))
     assert report.first_failed is None
-    assert report.ac3 is None  # minimality is judged across candidates
+    # minimality is judged across candidates, so no report field holds it
+    assert report == ConditionReport(ac1=True, ac2a=True, ac2b=True)
+    assert ConditionReport.__match_args__ == ("ac1", "ac2a", "ac2b")
 
 
 def test_candidate_rejects_mixed_outcome():
     t3 = fixture_context("t3")
-    comp, report = cause_candidate(t3, Core(("s30", "s31"), ("a",)), 2)
+    comp, report = cause_candidate(t3, Core((0, 1), ("a",)), 2)
     assert comp is None
     assert report.ac1 is True
     assert report.ac2a is True
@@ -109,17 +109,17 @@ def test_candidate_rejects_mixed_outcome():
 
 def test_candidate_collects_branching_kills():
     t4 = fixture_context("t4")
-    comp, report = cause_candidate(t4, Core(("s40", "s42"), ("a",)), 2)
+    comp, report = cause_candidate(t4, Core((0, 1), ("a",)), 2)
     assert report.first_failed is None
     # extension words sorted by flattened trace, one list per gap
     assert comp == Computation(
-        ("s40", "s42"), ("a",), ((w("bb"), w("bh"), w("h")),)
+        (0, 1), ("a",), ((w("bb"), w("bh"), w("h")),)
     )
 
 
 def test_candidate_rejects_inconclusive_one_step_prefix():
     t6 = fixture_context("t6")
-    comp, report = cause_candidate(t6, Core(("s60", "s61"), ("a",)), 3)
+    comp, report = cause_candidate(t6, Core((0, 1), ("a",)), 3)
     assert comp is None
     assert report.ac2b is False
 
@@ -140,7 +140,7 @@ def expect_single_cause(name, k, states, labels, kills, dlists):
 
 def test_causes_linear_handoff():
     cause_set = expect_single_cause(
-        "t1", 3, ("s10", "s11"), ("a",), words("ah"), ((w("h"),),)
+        "t1", 3, (0, 1), ("a",), words("ah"), ((w("h"),),)
     )
     assert cause_set.exactness is Exactness.EXACT
     assert cause_set.bound == 3
@@ -151,7 +151,7 @@ def test_causes_branching_disablers():
     expect_single_cause(
         "t4",
         3,
-        ("s40", "s42"),
+        (0, 1),
         ("a",),
         words("ah", "abb", "abh"),
         ((w("bb"), w("bh"), w("h")),),
@@ -168,7 +168,7 @@ def test_causes_self_loop_truncated():
     cause_set = expect_single_cause(
         "t5",
         4,
-        ("s50", "s51"),
+        (0, 1),
         ("a",),
         words("ah", "aih", "aiih", "aiiih"),
         ((w("h"), w("ih"), w("iih"), w("iiih")),),
@@ -191,11 +191,11 @@ def test_causes_two_step_core_on_both_branches():
     cause_set = causes(fixture_context("t6"), 3)
     assert len(cause_set.causes) == 2
     by_states = {c.computation.states: c for c in cause_set.causes}
-    assert set(by_states) == {("s60", "s61", "s62"), ("s60", "s63", "s65")}
+    assert set(by_states) == {(0, 1, 3), (0, 2, 5)}
     for report in cause_set.causes:
         assert report.computation.labels == ("a", "b")
         assert report.kill_traces == words("abh")
-    assert by_states[("s60", "s61", "s62")].computation.dlists == (
+    assert by_states[(0, 1, 3)].computation.dlists == (
         ((),),
         (w("h"),),
     )
@@ -332,7 +332,7 @@ def test_cause_set_json_schema():
     assert obj["exactness"] == "exact"
     assert obj["causes"] == [
         {
-            "core": {"states": ["s40", "s42"], "labels": ["a"]},
+            "core": {"states": [0, 1], "labels": ["a"]},
             "kill_traces": [["a", "b", "b"], ["a", "b", "h"], ["a", "h"]],
             "dlists": [[["b", "b"], ["b", "h"], ["h"]]],
         }
@@ -343,8 +343,8 @@ def test_cause_set_json_schema():
 
 
 def test_exploration_exactness_rule():
-    t1 = FIX["t1"][0]
-    t2 = FIX["t2"][0]
+    t1 = fixture_context("t1").lts
+    t2 = fixture_context("t2").lts
     assert exploration_is_exact(t1, 2)
     assert not exploration_is_exact(t1, 1)
     assert not exploration_is_exact(t2, 99)
@@ -367,22 +367,22 @@ def test_causes_stable_past_longest_path(name):
 
 def test_projection_linear():
     proj = causal_projection(fixture_context("t1"), 3)
-    assert proj.transitions == frozenset({("s10", "a", "s11")})
-    assert proj.states == frozenset({"s10", "s11"})
-    assert proj.initial == "s10"
+    assert proj.transitions == frozenset({(0, "a", 1)})
+    assert proj.states == frozenset({0, 1})
+    assert proj.initial == 0
 
 
 def test_projection_empty_keeps_initial():
     proj = causal_projection(fixture_context("t3"), 3)
     assert proj.transitions == frozenset()
-    assert proj.states == frozenset({"s30"})
-    assert proj.alphabet == FIX["t3"][0].alphabet
+    assert proj.states == frozenset({0})
+    assert proj.alphabet == fixture_context("t3").lts.alphabet
 
 
 def test_projection_two_step_path():
     proj = causal_projection(fixture_context("fig3_tp"), 4)
     assert proj.transitions == frozenset(
-        {("p0", "d", "p1"), ("p1", "e", "p2")}
+        {(0, "d", 1), (1, "e", 3)}
     )
 
 
@@ -409,7 +409,7 @@ def test_oracle_accepts_long_kill_lists():
 
 def test_oracle_rejects_emptied_kill_list():
     t1 = fixture_context("t1")
-    hollow = Computation(("s10", "s11"), ("a",), ((),))
+    hollow = Computation((0, 1), ("a",), ((),))
     details = oracle_check_details(t1, hollow, 3)
     assert details["ac2b"] is False
     assert not oracle_check_cause(t1, hollow, 3)
@@ -417,7 +417,7 @@ def test_oracle_rejects_emptied_kill_list():
 
 def test_oracle_rejects_epsilon_placeholder_kills():
     t4 = fixture_context("t4")
-    hollow = Computation(("s40", "s42"), ("a",), (((),),))
+    hollow = Computation((0, 1), ("a",), (((),),))
     details = oracle_check_details(t4, hollow, 3)
     assert details["ac2b"] is False
     assert details["ac2c"] is True
@@ -425,7 +425,7 @@ def test_oracle_rejects_epsilon_placeholder_kills():
 
 def test_oracle_rejects_non_executable_core():
     t1 = fixture_context("t1")
-    broken = Computation(("s10", "s12"), ("a",), ((),))
+    broken = Computation((0, 2), ("a",), ((),))
     details = oracle_check_details(t1, broken, 3)
     assert details["valid_path"] is False
     assert not oracle_check_cause(t1, broken, 3)
@@ -433,7 +433,7 @@ def test_oracle_rejects_non_executable_core():
 
 @pytest.mark.parametrize(
     "states, labels",
-    [(("s10", "zz"), ("a",)), (("zz",), ())],
+    [((0, "zz"), ("a",)), (("zz",), ())],
     ids=["one-step", "zero-step"],
 )
 def test_oracle_rejects_a_core_off_the_system(states, labels):
@@ -447,7 +447,7 @@ def test_oracle_rejects_a_core_off_the_system(states, labels):
 def test_oracle_rejects_non_minimal_core():
     t4 = fixture_context("t4")
     comp, report = cause_candidate(
-        t4, Core(("s40", "s42", "s43"), ("a", "b")), 3
+        t4, Core((0, 1, 2), ("a", "b")), 3
     )
     # the constructive conditions pass in isolation ...
     assert comp is not None and report.first_failed is None
@@ -461,7 +461,7 @@ def test_a_candidate_and_the_oracle_refuse_a_negative_bound():
     # at k=0 the core a of t1 is truncated; a negative bound is no bound at
     # all, as `causes` says, so neither may answer for it
     t1 = fixture_context("t1")
-    core = Core(("s10", "s11"), ("a",))
+    core = Core((0, 1), ("a",))
     comp, _ = cause_candidate(t1, core, 0)
     assert comp is not None and comp.truncated
     for check in (cause_candidate, oracle_check_details, oracle_check_cause):

@@ -7,9 +7,11 @@ space limited to MEMORY_LIMIT, set in `preexec_fn`, which acts on that
 child only, and is killed after TIMEOUT_S seconds.  The loop at bound 20
 has more kill words than fit in the limit: `causes` spells them only as
 its output is built, so the run ends with `error: out of memory`, exit 2
-and nothing on stdout.  An input that breaks the contract today, a cyclic
-system at a bound of 10**18 whose cause leaves a loop open, stays on the
-list as a strict expected failure, with the reason, until it is mended.
+and nothing on stdout.  An input that breaks the contract today stays on
+the list as a strict expected failure, with the reason, until it is
+mended.  Two do, both at a bound of 10**18: a cyclic system whose cause
+leaves a loop open, and a nondeterministic one whose loop nothing ever
+blocks.
 """
 
 from __future__ import annotations
@@ -37,12 +39,20 @@ AUT = {
     "loop": 'des (0,4,3)\n(0,"a",1)\n(1,"i",1)\n(1,"j",1)\n(1,"h",2)\n',
     # a loop at the initial state and one way out of it
     "spin": 'des (0,2,2)\n(0,"a",0)\n(0,"b",1)\n',
+    # the same loop with a nondeterministic way out, of which one branch
+    # goes on to c
+    "spin-nondet": 'des (0,4,4)\n(0,"a",0)\n(0,"b",1)\n(0,"b",2)\n(1,"c",3)\n',
 }
 
 HUGE_BOUND_SPINS = (
     "state 0 reaches the effect only through b, and every such extension "
     "of a^n embeds the cause b; so each a^n fails AC1 and is extended, and "
     "the level loop runs once per unit of a bound of 10**18"
+)
+NOTHING_SUCCEEDS_SPINS = (
+    "every a^n b reaches both 1 and 2, so no word is ever successful and "
+    "nothing blocks a^n: each a^n fails AC1 and is extended, and the level "
+    "loop runs once per unit of a bound of 10**18"
 )
 
 
@@ -71,6 +81,10 @@ CASES = {
     ],
     "huge-bound-cyclic-cause": known_failure(
         ["causes", "spin", "[a]ff", "--bound", HUGE_BOUND], HUGE_BOUND_SPINS
+    ),
+    "huge-bound-nondeterministic-no-cause": known_failure(
+        ["causes", "spin-nondet", "<c>tt", "--bound", HUGE_BOUND],
+        NOTHING_SUCCEEDS_SPINS,
     ),
 }
 

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import ROOT, cyclic_pair, verify_both, w
+from helpers import ROOT, cyclic_pair, fixture_context, verify_both
 from hmlcause import (
     And,
     EffectContext,
@@ -35,7 +35,7 @@ from hmlcause import (
 )
 from hmlcause import causality, composition
 from hmlcause.cli import main
-from hmlcause.testkit import corpus, fixture_context
+from hmlcause.testkit import corpus
 
 FIG3_L = fixture_context("fig3_t")
 FIG3_R = fixture_context("fig3_tp")
@@ -115,10 +115,10 @@ def test_disjunction_on_branching_fixture():
     assert report.verdict == "holds"
     assert report.bound == 4
     assert report.witness == {
-        "(s0,p0)": "+",
-        "(s0,p1)": "R:p1",
-        "(s0,p2)": "R:p2",
-        "(s1,p0)": "L:s1",
+        "(0,0)": "+",
+        "(0,1)": "R:1",
+        "(0,3)": "R:3",
+        "(1,0)": "L:1",
     }
 
 

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_subsequence, w, words
+from helpers import fixture_context, is_subsequence, w, words
 from reference import sub_cores, traces, validate_computation
 from hmlcause import (
     Computation,
     Core,
     computation_traces,
-    size_compatible,
 )
-from hmlcause.testkit import fixtures
-
-FIX = fixtures()
 
 
 # ---------------------------------------------------------------- traces
@@ -50,28 +46,28 @@ def test_traces_nonempty_lists_exclude_bare_core():
 def test_traces_size_incompatible_rejected():
     with pytest.raises(ValueError):
         traces((("a", (w("h"),)), ("b", ())))
-    assert not size_compatible(((w("h"),), ()))
-    assert size_compatible(((), ()))
+    with pytest.raises(ValueError):
+        traces((("a", ()), ("b", ((),))))
 
 
 # ---------------------------------------------------------------- structures
 
 
 def test_core_path_shape_enforced():
-    Core(("s40", "s42"), ("a",))
+    Core((0, 1), ("a",))
     with pytest.raises(ValueError):
-        Core(("s40",), ("a",))
+        Core((0,), ("a",))
 
 
 def test_computation_shape_enforced():
     with pytest.raises(ValueError):
-        Computation(("s40", "s42"), ("a",), ())
+        Computation((0, 1), ("a",), ())
 
 
 def test_trivial_computation():
-    c = Computation(("s20",), (), ())
+    c = Computation((0,), (), ())
     assert c.is_trivial
-    assert c.states == ("s20",)
+    assert c.states == (0,)
     assert c.labels == ()
     assert computation_traces(c) == frozenset({()})
 
@@ -80,16 +76,16 @@ def test_trivial_computation():
 
 
 def test_validate_accepts_known_cause():
-    t4 = FIX["t4"][0]
-    c = Computation(("s40", "s42"), ("a",), ((w("h"), w("bb"), w("bh")),))
+    t4 = fixture_context("t4").lts
+    c = Computation((0, 1), ("a",), ((w("h"), w("bb"), w("bh")),))
     report = validate_computation(t4, c)
     assert report.valid and report.violation is None
 
 
 def test_validate_rejects_size_mismatch():
-    t4 = FIX["t4"][0]
+    t4 = fixture_context("t4").lts
     c = Computation(
-        ("s40", "s42", "s43"), ("a", "b"), ((), (w("h"),))
+        (0, 1, 2), ("a", "b"), ((), (w("h"),))
     )
     report = validate_computation(t4, c)
     assert not report.valid
@@ -97,8 +93,8 @@ def test_validate_rejects_size_mismatch():
 
 
 def test_validate_rejects_non_executable_trace():
-    t1 = FIX["t1"][0]
-    c = Computation(("s10", "s11"), ("a",), ((w("z"),),))
+    t1 = fixture_context("t1").lts
+    c = Computation((0, 1), ("a",), ((w("z"),),))
     report = validate_computation(t1, c)
     assert not report.valid
     assert report.violation == "trace"
@@ -106,8 +102,8 @@ def test_validate_rejects_non_executable_trace():
 
 
 def test_validate_rejects_broken_path():
-    t1 = FIX["t1"][0]
-    c = Computation(("s10", "s12"), ("a",), (((),),))
+    t1 = fixture_context("t1").lts
+    c = Computation((0, 2), ("a",), (((),),))
     report = validate_computation(t1, c)
     assert not report.valid
     assert report.violation == "path"
@@ -117,37 +113,37 @@ def test_validate_rejects_broken_path():
 
 
 def test_sub_cores_drop_non_executable_words():
-    t4 = FIX["t4"][0]
-    core = Core(("s40", "s42", "s43"), ("a", "b"))
+    t4 = fixture_context("t4").lts
+    core = Core((0, 1, 2), ("a", "b"))
     subs = sub_cores(t4, core)
-    # "b" alone is not executable from s40, so only "a" and the empty core
+    # "b" alone is not executable from state 0, so only "a" and the empty core
     assert subs == frozenset(
-        {Core(("s40", "s42"), ("a",)), Core(("s40",), ())}
+        {Core((0, 1), ("a",)), Core((0,), ())}
     )
 
 
 def test_sub_cores_of_single_step():
-    t1 = FIX["t1"][0]
-    assert sub_cores(t1, Core(("s10", "s11"), ("a",))) == frozenset(
-        {Core(("s10",), ())}
+    t1 = fixture_context("t1").lts
+    assert sub_cores(t1, Core((0, 1), ("a",))) == frozenset(
+        {Core((0,), ())}
     )
 
 
 def test_sub_cores_keep_initial_anchor():
-    t6 = FIX["t6"][0]
-    core = Core(("s60", "s61", "s62"), ("a", "b"))
+    t6 = fixture_context("t6").lts
+    core = Core((0, 1, 3), ("a", "b"))
     for sub in sub_cores(t6, core):
-        assert sub.states[0] == "s60"
+        assert sub.states[0] == 0
 
 
 def test_sub_cores_enumerate_all_state_paths():
-    t6 = FIX["t6"][0]
-    core = Core(("s60", "s61", "s62"), ("a", "b"))
+    t6 = fixture_context("t6").lts
+    core = Core((0, 1, 3), ("a", "b"))
     paths = {
         sub.states for sub in sub_cores(t6, core) if sub.labels == ("a",)
     }
     # the nondeterministic a-step contributes one sub-core per target
-    assert paths == {("s60", "s61"), ("s60", "s63")}
+    assert paths == {(0, 1), (0, 2)}
 
 
 # ---------------------------------------------------------------- properties

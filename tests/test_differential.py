@@ -29,7 +29,6 @@ from hmlcause import (
     interleave,
     Computation,
     Not,
-    fixture_context,
     format_state,
     longest_acyclic_path,
     make_lts,
@@ -51,8 +50,8 @@ from hmlcause.causality import (
 )
 from hmlcause.computation import computation_traces
 from hmlcause.oracle import _admits_candidate, _oracle_view, _OracleView
-from hmlcause.testkit import corpus, fixtures
-from helpers import cyclic_pair
+from hmlcause.testkit import corpus
+from helpers import FIXTURE_NAMES, cyclic_pair, fixture_context
 from reference import (
     brute_isomorphic,
     brute_longest_acyclic_path,
@@ -1135,7 +1134,7 @@ def test_oracle_rejects_a_cause_with_one_trace_dropped(ctx):
         _assert_dropping_any_trace_breaks_ac2b(ctx, k)
 
 
-@pytest.mark.parametrize("name", sorted(fixtures()))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_oracle_rejects_a_fixture_cause_with_one_trace_dropped(name):
     ctx = fixture_context(name)
     _assert_dropping_any_trace_breaks_ac2b(ctx, len(ctx.lts.states))

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import FIXTURE_DIR, ROOT, init_actions, rand_formula, seeded_lts
+from helpers import (
+    FIXTURE_DIR,
+    ROOT,
+    fixture_context,
+    init_actions,
+    rand_formula,
+    seeded_lts,
+)
 from hmlcause import (
     And,
     Box,
@@ -38,10 +45,7 @@ from hmlcause import (
 from hmlcause.cli import main
 from hmlcause.hml import MAX_FORMULA_DEPTH
 from hmlcause.lts import valid_label
-from hmlcause.testkit import fixture_context, fixtures
 from test_differential import _contexts
-
-FIX = fixtures()
 
 
 # ---------------------------------------------------------------- parsing
@@ -267,34 +271,34 @@ def test_a_pickled_formula_hashes_as_the_loading_process_builds_it():
 
 
 def test_top_holds_everywhere():
-    t4 = FIX["t4"][0]
+    t4 = fixture_context("t4").lts
     for s in t4.states:
         assert satisfies(t4, s, Top())
 
 
 def test_diamond_on_linear_chain():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     phi = parse_formula("<h>tt")
-    assert satisfies(t1, "s11", phi)
-    assert not satisfies(t1, "s10", phi)
+    assert satisfies(t1, 1, phi)
+    assert not satisfies(t1, 0, phi)
 
 
 def test_vacuous_box():
-    t1 = FIX["t1"][0]
-    # s12 has no outgoing transitions at all
-    assert satisfies(t1, "s12", Box("a", Not(Top())))
-    assert satisfies(t1, "s12", Box("h", Not(Top())))
+    t1 = fixture_context("t1").lts
+    # state 2 has no outgoing transitions at all
+    assert satisfies(t1, 2, Box("a", Not(Top())))
+    assert satisfies(t1, 2, Box("h", Not(Top())))
 
 
 def test_satisfies_unknown_state():
     with pytest.raises(ValueError):
-        satisfies(FIX["t1"][0], "ghost", Top())
+        satisfies(fixture_context("t1").lts, "ghost", Top())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ctx=_contexts(), seed=st.integers(0, 10_000), depth=st.integers(0, 4))
 @example(
-    ctx=EffectContext(FIX["t6"][0], parse_formula("[a]<h>tt | <b>tt")),
+    ctx=EffectContext(fixture_context("t6").lts, parse_formula("[a]<h>tt | <b>tt")),
     seed=0,
     depth=0,
 )
@@ -369,13 +373,13 @@ def test_oracle_evaluates_the_deepest_formula(successor_budget):
 
 def test_effect_context_rejects_foreign_alphabet():
     with pytest.raises(ValueError):
-        EffectContext(FIX["t1"][0], parse_formula("<z>tt"))
+        EffectContext(fixture_context("t1").lts, parse_formula("<z>tt"))
 
 
 def test_is_immediate_effect_examples():
     assert is_immediate_effect(fixture_context("t2"))
     assert not is_immediate_effect(fixture_context("t1"))
-    assert is_immediate_effect(EffectContext(FIX["t1"][0], Top()))
+    assert is_immediate_effect(EffectContext(fixture_context("t1").lts, Top()))
 
 
 # ---------------------------------------------------------------- properties

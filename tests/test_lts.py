@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import init_actions, seeded_lts, w, words
+from helpers import fixture_context, init_actions, seeded_lts, w, words
 from reference import (
     brute_longest_acyclic_path,
     project_word,
@@ -44,16 +44,13 @@ from hmlcause import (
     parse_aut,
     parse_formula,
     reachable_states,
-    restrict_to_reachable,
     states_satisfying,
     verify_conjunction_theorem,
     verify_disjunction_theorem,
 )
 from hmlcause import composition
 from hmlcause import lts as lts_module
-from hmlcause.testkit import corpus, fixtures
-
-FIX = fixtures()
+from hmlcause.testkit import corpus
 
 T1_AUT = 'des (0,2,3)\n(0,"a",1)\n(1,"h",2)\n'
 
@@ -97,7 +94,7 @@ def test_parse_aut_alphabet_directive():
 
 
 def test_emit_parse_round_trip_on_fixture():
-    text = emit_aut(FIX["t4"][0])
+    text = emit_aut(fixture_context("t4").lts)
     assert emit_aut(parse_aut(text)) == text
 
 
@@ -105,7 +102,7 @@ def test_emit_parse_round_trip_on_fixture():
 
 
 def test_emit_dot_plain():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     dot = emit_dot(t1)
     assert dot.startswith("digraph")
     assert "doublecircle" in dot
@@ -116,30 +113,30 @@ def test_emit_dot_plain():
 
 
 def test_reach_examples():
-    t1 = FIX["t1"][0]
-    t3 = FIX["t3"][0]
-    assert reach(t1, "s10", w("ah")) == frozenset({"s12"})
-    assert reach(t3, "s30", w("a")) == frozenset({"s31", "s32"})
-    assert reach(t1, "s10", w("hh")) == frozenset()
+    t1 = fixture_context("t1").lts
+    t3 = fixture_context("t3").lts
+    assert reach(t1, 0, w("ah")) == frozenset({2})
+    assert reach(t3, 0, w("a")) == frozenset({1, 2})
+    assert reach(t1, 0, w("hh")) == frozenset()
 
 
 def test_reach_epsilon_reflexive():
-    t4 = FIX["t4"][0]
+    t4 = fixture_context("t4").lts
     for s in t4.states:
         assert reach(t4, s, ()) == frozenset({s})
 
 
 def test_reach_unknown_state():
     with pytest.raises(ValueError):
-        reach(FIX["t1"][0], "nope", ())
+        reach(fixture_context("t1").lts, "nope", ())
 
 
 def test_init_actions_examples():
-    t1 = FIX["t1"][0]
-    t4 = FIX["t4"][0]
-    assert init_actions(t1, "s10") == frozenset({"a"})
-    assert init_actions(t1, "s12") == frozenset()
-    assert init_actions(t4, "s42") == frozenset({"h", "b"})
+    t1 = fixture_context("t1").lts
+    t4 = fixture_context("t4").lts
+    assert init_actions(t1, 0) == frozenset({"a"})
+    assert init_actions(t1, 2) == frozenset()
+    assert init_actions(t4, 1) == frozenset({"h", "b"})
 
 
 def test_subwords_examples():
@@ -160,7 +157,7 @@ def test_project_word_examples():
 
 
 def test_interleave_frozen_right_component():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     unit = make_lts("u", [])
     prod = interleave(t1, unit)
     assert prod.states == {(s, "u") for s in t1.states}
@@ -171,17 +168,17 @@ def test_interleave_frozen_right_component():
 
 
 def test_interleave_fig3_transitions():
-    left = FIX["fig3_t"][0]
-    right = FIX["fig3_tp"][0]
+    left = fixture_context("fig3_t").lts
+    right = fixture_context("fig3_tp").lts
     prod = interleave(left, right)
-    assert (("s0", "p0"), "a", ("s1", "p0")) in prod.transitions
-    assert (("s0", "p0"), "d", ("s0", "p1")) in prod.transitions
-    assert prod.initial == ("s0", "p0")
+    assert ((0, 0), "a", (1, 0)) in prod.transitions
+    assert ((0, 0), "d", (0, 1)) in prod.transitions
+    assert prod.initial == (0, 0)
     assert prod.alphabet == left.alphabet | right.alphabet
 
 
 def test_interleave_reachable_count():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     copy = make_lts("x10", [("x10", "c", "x11"), ("x11", "k", "x12")])
     assert len(interleave(t1, copy).states) == 9
 
@@ -190,13 +187,17 @@ def _copy(lts: Lts) -> Lts:
     return Lts(lts.states, lts.initial, lts.alphabet, lts.transitions)
 
 
+def _fig3() -> tuple:
+    return fixture_context("fig3_t").lts, fixture_context("fig3_tp").lts
+
+
 def test_interleave_returns_the_product_it_built_for_the_pair():
-    left, right = FIX["fig3_t"][0], FIX["fig3_tp"][0]
+    left, right = _fig3()
     assert interleave(left, right) is interleave(left, right)
 
 
 def test_interleave_of_equal_components_gives_equal_products():
-    left, right = _copy(FIX["fig3_t"][0]), _copy(FIX["fig3_tp"][0])
+    left, right = _fig3()
     product = interleave(left, right)
     # the product is kept on the left component with its right one, and an
     # equal right component finds it
@@ -207,7 +208,7 @@ def test_interleave_of_equal_components_gives_equal_products():
 
 
 def test_a_product_is_freed_with_its_left_component():
-    left, right = _copy(FIX["fig3_t"][0]), FIX["fig3_tp"][0]
+    left, right = _fig3()
     product = weakref.ref(interleave(left, right))
     gc.collect()
     assert product() is not None
@@ -218,9 +219,9 @@ def test_a_product_is_freed_with_its_left_component():
 
 def test_a_component_keeps_only_its_last_product():
     # shrinking a counterexample interleaves one component with many others
-    left = FIX["fig3_t"][0]
-    first = weakref.ref(interleave(left, _copy(FIX["fig3_tp"][0])))
-    interleave(left, FIX["t1"][0])
+    left, right = _fig3()
+    first = weakref.ref(interleave(left, right))
+    interleave(left, fixture_context("t1").lts)
     gc.collect()
     assert first() is None
 
@@ -251,22 +252,22 @@ def test_the_laws_and_lemmas_build_one_product_per_pair(monkeypatch):
 
 
 def test_choice_initial_actions_union():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     other = make_lts("x10", [("x10", "c", "x11"), ("x11", "k", "x12")])
     sum_lts = choice(t1, other)
     assert sum_lts.initial == CHOICE_INITIAL
     assert init_actions(sum_lts, CHOICE_INITIAL) == init_actions(
-        t1, "s10"
+        t1, 0
     ) | init_actions(other, "x10")
     outgoing = [t for t in sum_lts.transitions if t[0] == CHOICE_INITIAL]
     assert len(outgoing) == 2
 
 
 def test_choice_preserves_tail_behavior():
-    t1 = FIX["t1"][0]
+    t1 = fixture_context("t1").lts
     other = make_lts("x10", [("x10", "c", "x11"), ("x11", "k", "x12")])
     sum_lts = choice(t1, other)
-    assert ("L:s11", "h", "L:s12") in sum_lts.transitions
+    assert ("L:1", "h", "L:2") in sum_lts.transitions
     assert ("R:x11", "k", "R:x12") in sum_lts.transitions
 
 
@@ -274,16 +275,16 @@ def test_choice_preserves_tail_behavior():
 
 
 def test_acyclicity_and_longest_path():
-    t1 = FIX["t1"][0]
-    t2 = FIX["t2"][0]
-    t5 = FIX["t5"][0]
+    t1 = fixture_context("t1").lts
+    t2 = fixture_context("t2").lts
+    t5 = fixture_context("t5").lts
     assert longest_acyclic_path(t1) == 2
     assert longest_acyclic_path(t2) is None
     assert longest_acyclic_path(t5) is None
 
 
 def test_longest_acyclic_path_leaves_no_garbage():
-    systems = [FIX[name][0] for name in ("t1", "t2", "t4", "t5", "t6")]
+    systems = [fixture_context(name).lts for name in ("t1", "t2", "t4", "t5", "t6")]
     # collect what earlier code left before saving anything, so the test
     # sees only the cycles made by the calls below, whatever ran before it
     gc.collect()
@@ -349,20 +350,45 @@ def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
     assert not any(system is product for system in seen)
 
 
-def test_restrict_to_reachable_drops_orphans():
-    lts = make_lts(
-        "a0",
-        [("a0", "x", "a1"), ("b0", "x", "b1")],
+def test_choice_drops_unreachable_operand_states_and_their_edges():
+    # neither operand's initial state is entered again, b0 and d0 are never
+    # reached, and d0's z-edge leads into a state that is
+    left = make_lts("a0", [("a0", "x", "a1"), ("b0", "x", "b1")])
+    right = make_lts("c0", [("c0", "y", "c1"), ("d0", "y", "d0"), ("d0", "z", "c1")])
+    sum_lts = choice(left, right)
+    assert sum_lts.states == frozenset({CHOICE_INITIAL, "L:a1", "R:c1"})
+    assert sum_lts.transitions == frozenset(
+        {(CHOICE_INITIAL, "x", "L:a1"), (CHOICE_INITIAL, "y", "R:c1")}
     )
-    trimmed = restrict_to_reachable(lts)
-    assert trimmed.states == frozenset({"a0", "a1"})
+    assert sum_lts.alphabet == frozenset({"x", "y", "z"})
+
+
+_edges = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from("ab"), st.integers(0, 4)),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(left=_edges, right=_edges)
+def test_choice_keeps_exactly_the_reachable_part_of_each_operand(left, right):
+    operands = {"L": make_lts(0, left), "R": make_lts(0, right)}
+    sum_lts = choice(operands["L"], operands["R"])
+    assert reachable_states(sum_lts) == sum_lts.states
+    assert all(t[0] in sum_lts.states for t in sum_lts.transitions)
+    for state in sum_lts.states - {CHOICE_INITIAL}:
+        side, name = state.split(":")
+        operand = operands[side]
+        assert sorted(sum_lts.outgoing(state)) == sorted(
+            (label, f"{side}:{dst}") for label, dst in operand.outgoing(int(name))
+        )
 
 
 # ---------------------------------------------------------------- the memo
 
 
 def _fresh_t4() -> Lts:
-    t4 = FIX["t4"][0]
+    t4 = fixture_context("t4").lts
     return Lts(t4.states, t4.initial, t4.alphabet, t4.transitions)
 
 
@@ -389,7 +415,7 @@ def test_causes_over_untraversed_system_are_equal_and_kept_per_system():
 def test_a_system_and_its_memo_are_freed_together():
     formula = parse_formula("<h>tt")
     system = _fresh_t4()
-    product = interleave(system, FIX["t1"][0])
+    product = interleave(system, fixture_context("t1").lts)
     causes(EffectContext(system, formula), 3)
     causes(EffectContext(product, formula), 3)
     states_satisfying(system, formula)
@@ -513,9 +539,9 @@ def test_project_word_concatenation(u, v):
 def test_parse_emit_identity(seed):
     lts = seeded_lts(seed)
     back = parse_aut(emit_aut(lts))
-    trimmed = restrict_to_reachable(lts)
-    assert len(back.states) == len(trimmed.states)
-    assert len(back.transitions) == len(trimmed.transitions)
+    # gen_lts reaches every state, so the emitted reachable part is all of it
+    assert len(back.states) == len(lts.states)
+    assert len(back.transitions) == len(lts.transitions)
     assert emit_aut(back) == emit_aut(lts)
 
 

@@ -1,4 +1,4 @@
-"""Seeded generators and the shipped example systems."""
+"""Seeded generators and the example systems under fixtures/."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import seeded_lts
+from helpers import FIXTURE_NAMES, fixture_context, seeded_lts
 from hmlcause import (
     Exactness,
     GenParams,
     causes,
     corpus,
     emit_aut,
+    format_formula,
     formula_alphabet,
     gen_effect,
     gen_lts,
@@ -23,7 +24,6 @@ from hmlcause import (
     reachable_states,
     satisfies,
 )
-from hmlcause.testkit import fixture_context, fixtures
 
 EXPECTED_FIXTURES = {
     "t1",
@@ -125,15 +125,14 @@ def test_gen_effect_exhausts_on_degenerate_input():
 
 
 def test_fixture_names_complete():
-    assert set(fixtures()) == EXPECTED_FIXTURES
+    assert set(FIXTURE_NAMES) == EXPECTED_FIXTURES
 
 
 def test_fixture_shapes():
-    fix = fixtures()
-    counts = {
-        name: (len(lts.states), len(lts.transitions))
-        for name, (lts, _formula) in fix.items()
-    }
+    counts = {}
+    for name in FIXTURE_NAMES:
+        lts = fixture_context(name).lts
+        counts[name] = (len(lts.states), len(lts.transitions))
     assert counts == {
         "t1": (3, 2),
         "t2": (2, 3),
@@ -147,16 +146,13 @@ def test_fixture_shapes():
 
 
 def test_fixture_effects():
-    fix = fixtures()
-    for name, (_lts, formula) in fix.items():
+    for name in FIXTURE_NAMES:
         expected = "<h'>tt" if name == "fig3_tp" else "<h>tt"
-        from hmlcause import format_formula
-
-        assert format_formula(formula) == expected
+        assert format_formula(fixture_context(name).formula) == expected
 
 
 def test_fixture_context_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(FileNotFoundError):
         fixture_context("t99")
 
 
