@@ -96,14 +96,15 @@ class Lts(_Immutable):
 
     What is derived from the system is computed on first use and kept in
     its one memo, which lives and dies with it: the successor index
-    ("out"), the reachable states ("reachable"), the longest path of the
-    reachable part ("longest"), the last product it was interleaved into
-    as the left component ("product"), the states satisfying each formula
-    asked about (keyed by the formula) and each cause set (keyed by formula
-    and bound).  A system that is only compared or hashed never pays for
-    them, and a value-equal but distinct system computes its own.  A
-    product of `interleave` is born with "reachable" and "longest", which
-    follow from its components'.
+    ("out"), the reachable states ("reachable"), the height of each
+    reachable state that reaches no cycle, the longest path out of it
+    ("heights"), the last product it was interleaved into as the left
+    component ("product"), the states satisfying each formula asked about
+    (keyed by the formula) and each cause set (keyed by formula and bound).
+    A system that is only compared or hashed never pays for them, and a
+    value-equal but distinct system computes its own.  A product of
+    `interleave` is born with "reachable" and "heights", which follow from
+    its components'.
 
     Equality, hashing, repr and pickling go by the four fields alone
     (`_Immutable`): a copy or an unpickled system starts with an empty memo
@@ -193,7 +194,11 @@ def reachable_states(lts: Lts) -> frozenset:
     """All states reachable from the initial state by any word."""
     found = lts._memo.get("reachable")
     if found is None:
-        found = lts._memo["reachable"] = frozenset(_walk(lts))
+        found = frozenset(_walk(lts))
+        # a system reachable throughout keeps no second copy of its states
+        if len(found) == len(lts.states):
+            found = lts.states
+        lts._memo["reachable"] = found
     return found
 
 
@@ -213,8 +218,7 @@ def interleave(left: Lts, right: Lts) -> Lts:
     interleaved with many others, as in counterexample shrinking, holds one
     product at a time, and the product is freed with its left component.
     The product's memo starts with its reachable states, every pair, and
-    its longest path, the sum of the sides' (a path is the two sides' paths
-    interleaved), or None when either side has a cycle.
+    its heights, read from the sides' (`_SumOfHeights`).
     """
     kept = left._memo.get("product")
     if kept is not None and kept[0] == right:
@@ -238,11 +242,30 @@ def interleave(left: Lts, right: Lts) -> Lts:
         left.alphabet | right.alphabet,
         frozenset(transitions),
     )
-    ends = longest_acyclic_path(left), longest_acyclic_path(right)
     product._memo["reachable"] = product.states
-    product._memo["longest"] = None if None in ends else sum(ends)
+    product._memo["heights"] = _SumOfHeights(state_heights(left), state_heights(right))
     left._memo["product"] = (right, product)
     return product
+
+
+class _SumOfHeights:
+    """The heights of an interleaving's states, read from its sides'
+    heights when asked.  A pair reaches a cycle when either side does, and
+    otherwise its height is the sum of its sides' (a path is the two sides'
+    paths interleaved)."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right) -> None:
+        self.left = left
+        self.right = right
+
+    def get(self, pair: tuple, default=None):
+        l, r = pair
+        mine, theirs = self.left.get(l), self.right.get(r)
+        if mine is None or theirs is None:
+            return default
+        return mine + theirs
 
 
 CHOICE_INITIAL = "+"
@@ -288,15 +311,21 @@ def longest_acyclic_path(lts: Lts) -> Optional[int]:
     """Transition count of the longest path in the reachable part, or None
     when the reachable part contains a cycle.  Every path there extends
     back to the initial state, so that is the initial state's height."""
-    memo = lts._memo
-    if "longest" not in memo:
-        memo["longest"] = _settle(lts).get(lts.initial)
-    return memo["longest"]
+    return state_heights(lts).get(lts.initial)
+
+
+def state_heights(lts: Lts):
+    """Each reachable state from which no cycle is reachable, mapped to the
+    transition count of the longest path out of it; kept in the system's
+    memo.  Only its `get` is used: a product's is a `_SumOfHeights`."""
+    found = lts._memo.get("heights")
+    if found is None:
+        found = lts._memo["heights"] = _settle(lts)
+    return found
 
 
 def _settle(lts: Lts) -> dict:
-    """Each reachable state from which no cycle is reachable, mapped to the
-    transition count of the longest path out of it."""
+    """`state_heights` without the memo."""
     keep = reachable_states(lts)
     before: dict[State, list] = {s: [] for s in keep}
     waiting = {}

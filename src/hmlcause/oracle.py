@@ -18,7 +18,7 @@ from math import inf
 
 from .computation import Computation, computation_traces
 from .hml import EffectContext, states_satisfying
-from .lts import Lts, Word, _settle, longest_acyclic_path, reachable_states, step
+from .lts import Lts, Word, longest_acyclic_path, reachable_states, state_heights, step
 
 
 class _OracleView:
@@ -36,7 +36,7 @@ class _OracleView:
         self.lts = lts
         self.reachable = reachable_states(lts)
         self.longest = longest_acyclic_path(lts)
-        self._heights = _settle(lts)
+        self._heights = state_heights(lts)
         self._moves: dict[frozenset, list] = {}
 
     def moves(self, reached: frozenset) -> list:

@@ -11,18 +11,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterator
 
-from .hml import (
-    TT,
-    And,
-    Box,
-    Diamond,
-    EffectContext,
-    FF,
-    Formula,
-    Not,
-    Or,
-    _evaluate,
-)
+from .hml import TT, And, Box, Diamond, EffectContext, FF, Formula, Not, Or
 from .lts import Lts, longest_acyclic_path, reachable_states
 
 
@@ -93,19 +82,49 @@ def gen_lts(p: GenParams) -> Lts:
     )
 
 
-def _random_formula(rng: random.Random, labels: list, depth: int) -> Formula:
+def _edge_bits(lts: Lts) -> tuple[dict, list]:
+    """One bit per state, and each label of the alphabet in sorted order
+    with the (source bit, target bit) pair of each of its transitions."""
+    bit = {s: 1 << i for i, s in enumerate(lts.states)}
+    edges: dict[str, list] = {label: [] for label in sorted(lts.alphabet)}
+    for src, label, dst in lts.transitions:
+        edges[label].append((bit[src], bit[dst]))
+    return bit, list(edges.items())
+
+
+def _random_formula(
+    rng: random.Random, edges: list, full: int, depth: int
+) -> tuple[Formula, int]:
+    """A random formula of depth at most `depth` over the labels of
+    `edges` (as `_edge_bits` gives them), with the bitmask of the states
+    that satisfy it, judged in the same recursion that draws it: `full` is
+    every state, `<a>f` the sources of an a-edge into f's states, `[a]f`
+    every state but the sources of an a-edge out of them."""
     if depth == 0 or rng.random() < 0.15:
-        return TT if rng.random() < 0.5 else FF
+        return (TT, full) if rng.random() < 0.5 else (FF, 0)
     op = rng.choice(("dia", "dia", "box", "not", "and", "or"))
-    if op == "dia":
-        return Diamond(rng.choice(labels), _random_formula(rng, labels, depth - 1))
-    if op == "box":
-        return Box(rng.choice(labels), _random_formula(rng, labels, depth - 1))
+    if op == "dia" or op == "box":
+        label, pairs = rng.choice(edges)
+        body, sat = _random_formula(rng, edges, full, depth - 1)
+        if op == "dia":
+            found = 0
+            for src, dst in pairs:
+                if dst & sat:
+                    found |= src
+            return Diamond(label, body), found
+        found = full
+        for src, dst in pairs:
+            if not dst & sat:
+                found &= ~src
+        return Box(label, body), found
     if op == "not":
-        return Not(_random_formula(rng, labels, depth - 1))
-    left = _random_formula(rng, labels, depth - 1)
-    right = _random_formula(rng, labels, depth - 1)
-    return And(left, right) if op == "and" else Or(left, right)
+        body, sat = _random_formula(rng, edges, full, depth - 1)
+        return Not(body), full & ~sat
+    left, left_sat = _random_formula(rng, edges, full, depth - 1)
+    right, right_sat = _random_formula(rng, edges, full, depth - 1)
+    if op == "and":
+        return And(left, right), left_sat & right_sat
+    return Or(left, right), left_sat | right_sat
 
 
 RETRY_BUDGET = 500
@@ -114,15 +133,17 @@ RETRY_BUDGET = 500
 def gen_effect(p: GenParams, lts: Lts) -> Formula:
     """A random effect over the system's alphabet that has not already
     occurred initially but can occur somewhere reachable.  Deterministic in
-    p; raises after a bounded number of rejected draws."""
-    labels = sorted(lts.alphabet)
-    reachable = reachable_states(lts)
+    p; raises after a bounded number of rejected draws.  Each draw is judged
+    as it is drawn, over bitmasks of the system's states, so a rejected draw
+    costs no second pass and leaves nothing in the system's memo."""
+    bit, edges = _edge_bits(lts)
+    full = (1 << len(bit)) - 1
+    initial = bit[lts.initial]
+    reachable = sum(bit[s] for s in reachable_states(lts))
     for attempt in range(RETRY_BUDGET):
         rng = random.Random(f"effect/{p.seed}/{p.namespace}/{attempt}")
-        formula = _random_formula(rng, labels, p.formula_depth)
-        # uncached: most draws are rejected and never asked about again
-        sat = _evaluate(lts, formula)
-        if lts.initial not in sat and not sat.isdisjoint(reachable):
+        formula, sat = _random_formula(rng, edges, full, p.formula_depth)
+        if not sat & initial and sat & reachable:
             return formula
     raise RuntimeError(
         f"no usable effect found in {RETRY_BUDGET} draws; "

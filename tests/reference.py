@@ -2,6 +2,9 @@
 
 - `satisfies`, HML satisfaction at one state by direct recursion on the
   formula, the definition that `states_satisfying` is held to.
+- `random_formula`, the effect generator's drawer as it was when it drew a
+  formula alone and its caller judged the draw afterwards, which the
+  drawer that judges as it draws is held to.
 - `successors`, the states one label leads to from one state.
 - `subwords`, every word obtained by deleting at least one letter.
 - The word layer: `reach`, the states one word reaches letter by letter;
@@ -35,6 +38,7 @@ None of this serves the engine, the oracle or the CLI.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -49,10 +53,12 @@ from hmlcause import (
     CrossCheckReport,
     Diamond,
     EffectContext,
+    FF,
     Formula,
     Lts,
     Not,
     Or,
+    TT,
     Top,
     causes,
     format_state,
@@ -103,6 +109,22 @@ def satisfies(lts: Lts, s: State, f: Formula) -> bool:
         case Or(left, right):
             return satisfies(lts, s, left) or satisfies(lts, s, right)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def random_formula(rng: random.Random, labels: list, depth: int) -> Formula:
+    """A random formula of depth at most `depth` over `labels`."""
+    if depth == 0 or rng.random() < 0.15:
+        return TT if rng.random() < 0.5 else FF
+    op = rng.choice(("dia", "dia", "box", "not", "and", "or"))
+    if op == "dia":
+        return Diamond(rng.choice(labels), random_formula(rng, labels, depth - 1))
+    if op == "box":
+        return Box(rng.choice(labels), random_formula(rng, labels, depth - 1))
+    if op == "not":
+        return Not(random_formula(rng, labels, depth - 1))
+    left = random_formula(rng, labels, depth - 1)
+    right = random_formula(rng, labels, depth - 1)
+    return And(left, right) if op == "and" else Or(left, right)
 
 
 def reach(lts: Lts, source: State, word: Word) -> frozenset:

@@ -49,6 +49,7 @@ from hmlcause.causality import (
     _StateSets,
 )
 from hmlcause.computation import computation_traces
+from hmlcause.lts import state_heights
 from hmlcause.oracle import _admits_candidate, _oracle_view, _OracleView
 from hmlcause.testkit import corpus
 from helpers import FIXTURE_NAMES, cyclic_pair, fixture_context
@@ -214,9 +215,11 @@ def test_a_product_is_born_with_its_reachable_states_and_longest_path(left, righ
     # a value-equal copy starts with an empty memo, so it searches for both
     product = interleave(left[0], right[0])
     fresh = Lts(product.states, product.initial, product.alphabet, product.transitions)
-    assert "reachable" in product._memo and "longest" in product._memo
+    assert "reachable" in product._memo and "heights" in product._memo
     assert reachable_states(product) == reachable_states(fresh)
     assert longest_acyclic_path(product) == longest_acyclic_path(fresh)
+    born, searched = state_heights(product), state_heights(fresh)
+    assert all(born.get(s) == searched.get(s) for s in product.states)
     assert longest_acyclic_path(fresh) == brute_longest_acyclic_path(fresh)
 
 
@@ -857,7 +860,7 @@ def test_the_shape_walk_enters_no_word_too_shallow_to_finish_the_core():
     view = _OracleView(lts)
     assert view.longest == k
     assert all(
-        max(view._heights[s] for s in table[word]) == height
+        max(view._heights.get(s) for s in table[word]) == height
         for word, height in heights.items()
     )
     found = causes(both, k).causes

@@ -312,36 +312,43 @@ def test_longest_acyclic_path_leaves_the_recursion_limit_alone(monkeypatch):
     assert sys.getrecursionlimit() == limit
 
 
-def test_reachable_states_and_heights_are_computed_once_per_system(monkeypatch):
+def test_reachable_states_and_heights_are_computed_once_per_system():
     # the laws, the lemmas and the oracle ask each system, component or
-    # product, for its reachable states and its longest path many times.
-    # A component computes each once; a product is born with both
+    # product, for its reachable states and its heights many times.  A
+    # component computes each once; a product is born with both.  Each
+    # computation is counted by its code object, so a call through any
+    # name a module bound it to counts too
     seen: list = []
     counts: dict = {}
+    names = {lts_module._walk.__code__: "walk", lts_module._settle.__code__: "settle"}
 
-    def counting(name, compute):
-        def counted(lts):
+    def count(frame, event, arg):
+        name = names.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            lts = frame.f_locals["lts"]
             if not any(lts is system for system in seen):
                 seen.append(lts)
             counts[name, id(lts)] = counts.get((name, id(lts)), 0) + 1
-            return compute(lts)
 
-        return counted
-
-    monkeypatch.setattr(lts_module, "_walk", counting("walk", lts_module._walk))
-    monkeypatch.setattr(lts_module, "_settle", counting("settle", lts_module._settle))
-    inst = list(corpus(1, seed=7))[0]
-    left, right, k = inst.left, inst.right, inst.bound
-    for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
-        verify(left, right, k)
-    for check in (cross_check_disjunction_lifting, cross_check_single_component):
-        check(left, right, k)
-    product = interleave(left.lts, right.lts)
-    for ctx in (left, right, EffectContext(product, left.formula)):
-        for report in causes(ctx, k).causes:
-            assert oracle_check_cause(ctx, report.computation, k)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        inst = list(corpus(1, seed=7))[0]
+        left, right, k = inst.left, inst.right, inst.bound
+        for verify in (verify_disjunction_theorem, verify_conjunction_theorem):
+            verify(left, right, k)
+        for check in (cross_check_disjunction_lifting, cross_check_single_component):
+            check(left, right, k)
+        product = interleave(left.lts, right.lts)
+        for ctx in (left, right, EffectContext(product, left.formula)):
+            for report in causes(ctx, k).causes:
+                assert oracle_check_cause(ctx, report.computation, k)
+    finally:
+        sys.setprofile(previous)
     assert any(system is left.lts for system in seen)
     assert set(counts.values()) == {1}
+    # every state of a generated system is reachable, and kept once
+    assert reachable_states(left.lts) is left.lts.states
     for system in seen:
         assert longest_acyclic_path(system) == brute_longest_acyclic_path(system)
     assert longest_acyclic_path(product) == brute_longest_acyclic_path(product)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import FIXTURE_NAMES, fixture_context, seeded_lts
 from hmlcause import (
     Exactness,
@@ -23,7 +27,9 @@ from hmlcause import (
     parse_aut,
     reachable_states,
     satisfies,
+    states_satisfying,
 )
+from hmlcause.testkit import RETRY_BUDGET, _edge_bits, _random_formula
 
 EXPECTED_FIXTURES = {
     "t1",
@@ -114,9 +120,74 @@ def test_gen_effect_contracts(seed):
     assert any(satisfies(lts, s, effect) for s in reachable_states(lts))
 
 
+@pytest.mark.parametrize("namespace", ["", "L", "R"])
+@pytest.mark.parametrize("acyclic", [True, False])
+def test_each_draw_is_the_reference_draw_with_its_satisfying_states(
+    acyclic, namespace
+):
+    # the reference draws the formula alone and the draw is judged
+    # afterwards, as the generator did before it judged as it drew; at
+    # depth 0 every draw is tt or ff and is rejected
+    kept_count = rejected = 0
+    for seed in range(10):
+        for depth in range(5):
+            p = GenParams(
+                seed=seed,
+                max_states=5,
+                max_out_degree=3,
+                acyclic=acyclic,
+                formula_depth=depth,
+                namespace=namespace,
+            )
+            lts = gen_lts(p)
+            bit, edges = _edge_bits(lts)
+            full = (1 << len(bit)) - 1
+            labels = sorted(lts.alphabet)
+            kept = None
+            for attempt in range(RETRY_BUDGET):
+                seeded = f"effect/{seed}/{namespace}/{attempt}"
+                rng, reference_rng = random.Random(seeded), random.Random(seeded)
+                formula, mask = _random_formula(rng, edges, full, depth)
+                expected = reference.random_formula(reference_rng, labels, depth)
+                assert formula == expected
+                assert rng.getstate() == reference_rng.getstate()
+                sat = states_satisfying(lts, formula)
+                assert mask == sum(bit[s] for s in sat)
+                if lts.initial not in sat and not sat.isdisjoint(reachable_states(lts)):
+                    kept = formula
+                    break
+                rejected += depth > 0
+            if kept is None:
+                with pytest.raises(RuntimeError, match="no usable effect"):
+                    gen_effect(p, lts)
+            else:
+                assert gen_effect(p, lts) == kept
+                kept_count += 1
+    assert kept_count >= 10 and rejected >= kept_count
+
+
+def test_gen_effect_on_cyclic_systems_is_pinned():
+    # a cyclic family with rejected draws; the digest was recorded before
+    # the effect generator judged its draws as it drew them
+    digest = hashlib.sha256()
+    for seed in range(300):
+        p = GenParams(seed=seed, max_states=5, max_out_degree=3, acyclic=False)
+        lts = gen_lts(p)
+        digest.update(emit_aut(lts).encode())
+        digest.update(format_formula(gen_effect(p, lts)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "b3cb9257e428328dbaeacb2b9b6ced3d6011c90374fe814b85b6073ec7f0b2d3"
+    )
+
+
 def test_gen_effect_exhausts_on_degenerate_input():
     p = GenParams(seed=5, max_states=1)
     lts = make_lts("q0", [], extra_labels=["La"])
+    with pytest.raises(RuntimeError, match="no usable effect"):
+        gen_effect(p, lts)
+    # `<La>tt` holds at the unreachable q1 alone, and every effect that
+    # holds somewhere reachable holds at the initial state too
+    lts = make_lts("q0", [("q1", "La", "q2")])
     with pytest.raises(RuntimeError, match="no usable effect"):
         gen_effect(p, lts)
 
@@ -178,6 +249,20 @@ def test_corpus_is_deterministic_and_indexed():
         assert a.left.lts == b.left.lts
         assert a.right.formula == b.right.formula
         assert a.bound == b.bound
+
+
+def test_the_paper_corpus_is_pinned():
+    # acceptance criterion 10's corpus, both sides as AUT text and formula
+    # text, and the bound; perfbench's golden digests assume it unchanged
+    digest = hashlib.sha256()
+    for inst in corpus(200, seed=7):
+        for side in (inst.left, inst.right):
+            digest.update(emit_aut(side.lts).encode())
+            digest.update(format_formula(side.formula).encode() + b"\n")
+        digest.update(b"%d\n" % inst.bound)
+    assert digest.hexdigest() == (
+        "7f47eb3d24142170c34d259e1f98cf6b17aa219088a7afc0bbe61a5e7d25c2d6"
+    )
 
 
 def test_corpus_instances_satisfy_law_hypotheses():
