@@ -93,7 +93,7 @@ def default_bound(lts: Lts) -> int:
 
 
 def _require_valid_core(lts: Lts, core: Core) -> None:
-    if core.first != lts.initial:
+    if core.states[0] != lts.initial:
         raise ValueError("cores are anchored at the initial state")
     for i, label in enumerate(core.labels):
         if (core.states[i], label, core.states[i + 1]) not in lts.transitions:

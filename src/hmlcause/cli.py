@@ -147,10 +147,10 @@ def _render_theorem_report(report, exact: bool, fmt: str) -> None:
         for src in sorted(report.witness):
             print(f"  {src} -> {report.witness[src]}")
     if report.verdict == "precondition":
-        for issue in (report.counterexample or {}).get("preconditions", []):
+        for issue in report.counterexample["preconditions"]:
             print(f"  violated: {issue}")
     elif report.counterexample is not None:
-        print(f"  reason: {report.counterexample.get('reason', 'mismatch')}")
+        print(f"  reason: {report.counterexample['reason']}")
 
 
 def _law_check(theorem: str):

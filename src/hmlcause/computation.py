@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lts import State, Word
+from .lts import Word
 
 
 @dataclass(frozen=True)
@@ -21,14 +21,6 @@ class Core:
     def __post_init__(self) -> None:
         if len(self.states) != len(self.labels) + 1:
             raise ValueError("a core needs exactly one more state than labels")
-
-    @property
-    def first(self) -> State:
-        return self.states[0]
-
-    @property
-    def final(self) -> State:
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -51,14 +43,6 @@ class Computation:
             raise ValueError("a computation needs exactly one more state than labels")
         if len(self.dlists) != len(self.labels):
             raise ValueError("one extension list per step is required")
-
-    @property
-    def core(self) -> Core:
-        return Core(self.states, self.labels)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.labels
 
 
 def computation_traces(c: Computation) -> frozenset:

@@ -20,9 +20,9 @@ class AutParseError(ValueError):
     """Raised when an AUT document cannot be parsed."""
 
 
-def valid_label(label: str) -> bool:
-    """Whether the whole string is one label by `LABEL_RE`."""
-    return LABEL_RE.fullmatch(label) is not None
+def valid_label(label) -> bool:
+    """Whether `label` is a string that is one whole label by `LABEL_RE`."""
+    return isinstance(label, str) and LABEL_RE.fullmatch(label) is not None
 
 
 def format_state(s: State) -> str:

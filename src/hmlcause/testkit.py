@@ -68,10 +68,7 @@ def gen_lts(p: GenParams) -> Lts:
         if len(used[src]) >= capacity:
             continue
         hi = rng.randrange(lo + 1, n) if p.acyclic else rng.randrange(0, n)
-        free = sorted(set(labels) - used[src])
-        if not free:
-            continue
-        label = rng.choice(free)
+        label = rng.choice(sorted(set(labels) - used[src]))
         transitions.add((src, label, states[hi]))
         used[src].add(label)
     return Lts(

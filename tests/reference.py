@@ -373,11 +373,12 @@ def sub_cores(lts: Lts, core: Core) -> frozenset:
     """Every core anchored at the same first state whose label word deletes
     at least one letter from the given core's labels, one per executable
     state path."""
-    if core.first not in lts.states:
-        raise ValueError(f"unknown state {format_state(core.first)!r}")
+    first = core.states[0]
+    if first not in lts.states:
+        raise ValueError(f"unknown state {format_state(first)!r}")
     result: set = set()
     for word in subwords(core.labels):
-        for path in _paths_for_word(lts, core.first, word):
+        for path in _paths_for_word(lts, first, word):
             result.add(Core(path, word))
     return frozenset(result)
 

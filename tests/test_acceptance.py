@@ -204,7 +204,7 @@ def test_criterion_06_immediate_effect_policy():
         assert is_immediate_effect(ctx)
         cause_set = causes(ctx, 3)
         assert cause_set.immediate
-        assert all(c.computation.is_trivial for c in cause_set.causes)
+        assert all(not c.computation.labels for c in cause_set.causes)
 
 
 def test_criterion_07_trace_expansion_worked_example():

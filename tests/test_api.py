@@ -222,3 +222,21 @@ def test_the_oracle_and_the_engine_import_nothing_from_each_other():
     assert imported_modules(oracle) == {"computation", "hml", "lts"}
     assert "oracle" not in imported_modules(engine)
     assert "causality" in imported_modules(src / "composition.py")
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    # no linter runs on the package, so an import left behind when the code
+    # that read it is deleted would otherwise stay unnoticed
+    unused = []
+    for path in sorted(Path(hmlcause.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.stem, name) for name in bound if name not in read]
+    assert unused == []

@@ -87,6 +87,21 @@ def test_extension_universe_rejects_foreign_core():
 # ---------------------------------------------------------------- candidate
 
 
+@pytest.mark.parametrize(
+    "core, message",
+    [
+        (Core((1, 2), ("h",)), "cores are anchored at the initial state"),
+        (Core((0, 0), ("a",)), r"core step \(0,a,0\) is not a transition"),
+    ],
+    ids=["not-at-the-initial-state", "step-not-a-transition"],
+)
+def test_candidate_rejects_a_core_that_is_not_a_path_from_the_initial_state(
+    core, message
+):
+    with pytest.raises(ValueError, match=message):
+        cause_candidate(fixture_context("t1"), core, 2)
+
+
 def test_candidate_accepts_linear_handoff():
     t1 = fixture_context("t1")
     comp, report = cause_candidate(t1, Core((0, 1), ("a",)), 2)
@@ -251,7 +266,7 @@ def test_causes_immediate_effect_with_escape():
     assert cause_set.immediate
     assert len(cause_set.causes) == 1
     comp = cause_set.causes[0].computation
-    assert comp.is_trivial and comp.states == ("q0",)
+    assert not comp.labels and comp.states == ("q0",)
     assert cause_set.causes[0].kill_traces == frozenset()
 
 
@@ -480,9 +495,10 @@ def test_a_candidate_and_the_oracle_refuse_a_negative_bound():
 def test_universe_monotone_in_bound(name, k):
     ctx = fixture_context(name)
     for report in causes(ctx, 4).causes:
-        if report.computation.is_trivial:
+        comp = report.computation
+        if not comp.labels:
             continue
-        core = report.computation.core
+        core = Core(comp.states, comp.labels)
         smaller = extension_universe(ctx.lts, core, k)
         larger = extension_universe(ctx.lts, core, k + 1)
         assert smaller <= larger
@@ -493,7 +509,8 @@ def test_universe_monotone_in_bound(name, k):
 def test_no_accepted_core_has_successful_sub_core(name, k):
     ctx = fixture_context(name)
     for report in causes(ctx, k).causes:
-        core = report.computation.core
+        comp = report.computation
+        core = Core(comp.states, comp.labels)
         for sub in sub_cores(ctx.lts, core):
             if sub.labels == ():
                 continue
@@ -507,7 +524,7 @@ def test_kill_traces_disjoint_from_core_and_all_violate(name, k):
     ctx = fixture_context(name)
     for report in causes(ctx, k).causes:
         comp = report.computation
-        if comp.is_trivial:
+        if not comp.labels:
             continue
         assert comp.labels not in report.kill_traces
         assert classify_word(ctx, comp.labels) is Classification.ALL_SATISFY

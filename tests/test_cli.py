@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from helpers import FIXTURE_DIR, ROOT, child_env
-from hmlcause import parse_aut
+import hmlcause
+from hmlcause import format_formula, parse_aut
 from hmlcause import causality, cli
 from hmlcause.cli import main
 from hmlcause.hml import MAX_FORMULA_DEPTH
@@ -113,6 +114,14 @@ def test_causes_empty_set(capsys):
     code, out, _err = run(capsys, "causes", T3, "<h>tt", "--bound", "3")
     assert code == 1
     assert out.endswith("no causes\n")
+
+
+def test_causes_spells_an_empty_core_as_epsilon(capsys, tmp_path):
+    lts = tmp_path / "a.aut"
+    lts.write_text('des (0,1,2)\n(0,"a",1)\n')
+    code, out, _err = run(capsys, "causes", str(lts), "<a>tt")
+    assert code == 0
+    assert out.endswith("cause 1: core: ε | kills: (none)\n")
 
 
 def test_causes_immediate_note(capsys):
@@ -380,6 +389,100 @@ def test_verify_random_lemmas(capsys):
     )
     assert code == 0
     assert out == "10/10 hold (lemmas)\n"
+
+
+def test_verify_random_writes_a_minimized_bundle_per_failing_instance(
+    monkeypatch, tmp_path, capsys
+):
+    # the corpus never fails a law, so the law check is made to fail; the
+    # shrinker then drops every transition and state it can
+    def fails(left, right, k):
+        return hmlcause.TheoremReport(
+            "disjunction", "fails", None, {"reason": "made to fail"}, k
+        )
+
+    monkeypatch.setattr(hmlcause, "verify_disjunction_theorem", fails)
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run(
+        capsys,
+        "verify", "--random", "--seed", "7", "--count", "2",
+        "--theorem", "disjunction",
+    )
+    assert code == 1
+    assert out == (
+        "instance 0: FAILED\n"
+        "  minimized bundle written to counterexample-disjunction-0/\n"
+        "instance 1: FAILED\n"
+        "  minimized bundle written to counterexample-disjunction-1/\n"
+        "0/2 hold (disjunction)\n"
+    )
+    for inst in hmlcause.corpus(2, 7):
+        bundle = tmp_path / f"counterexample-disjunction-{inst.index}"
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "left.aut",
+            "left.formula",
+            "manifest.json",
+            "right.aut",
+            "right.formula",
+        ]
+        for side, ctx in (("left", inst.left), ("right", inst.right)):
+            shrunk = parse_aut((bundle / f"{side}.aut").read_text())
+            assert (len(shrunk.states), shrunk.transitions) == (1, frozenset())
+            assert shrunk.alphabet == ctx.lts.alphabet
+            assert (bundle / f"{side}.formula").read_text() == (
+                format_formula(ctx.formula) + "\n"
+            )
+        assert json.loads((bundle / "manifest.json").read_text()) == {
+            "theorem": "disjunction",
+            "verdict": "fails",
+            "witness": None,
+            "counterexample": {"reason": "made to fail"},
+            "bound": inst.bound,
+        }
+
+
+def test_verify_random_lemmas_prints_each_violated_check(
+    monkeypatch, tmp_path, capsys
+):
+    def violated(left, right, k):
+        return hmlcause.CrossCheckReport(False, f"made to fail at bound {k}")
+
+    monkeypatch.setattr(hmlcause, "cross_check_disjunction_lifting", violated)
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run(
+        capsys,
+        "verify", "--random", "--seed", "7", "--count", "2",
+        "--theorem", "lemmas",
+    )
+    assert code == 1
+    bounds = [inst.bound for inst in hmlcause.corpus(2, 7)]
+    assert out == (
+        "instance 0: FAILED\n"
+        f"  made to fail at bound {bounds[0]}\n"
+        "instance 1: FAILED\n"
+        f"  made to fail at bound {bounds[1]}\n"
+        "0/2 hold (lemmas)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_human_names_the_reason_a_law_fails(tmp_path, capsys):
+    # a cyclic, nondeterministic pair on which the disjunction law fails at
+    # bound 2, below the exact bound
+    left = tmp_path / "left.aut"
+    left.write_text('des (0,2,3)\n(0,"a",1)\n(1,"h",2)\n')
+    right = tmp_path / "right.aut"
+    right.write_text('des (0,3,3)\n(0,"d",1)\n(0,"d",0)\n(1,"e",2)\n')
+    code, out, _err = run(
+        capsys,
+        "verify", str(left), str(right), "<h>tt", "<e>tt",
+        "--theorem", "disjunction", "--bound", "2",
+    )
+    assert code == 1
+    assert out == (
+        "disjunction: fails (bound 2)\n"
+        "  reason: projections differ under the branch renaming\n"
+    )
 
 
 def test_verify_random_requires_seed_and_count(capsys):

@@ -22,7 +22,6 @@ from hmlcause import (
     cross_check_disjunction_lifting,
     cross_check_single_component,
     emit_aut,
-    format_state,
     interleave,
     make_lts,
     parse_aut,
@@ -33,7 +32,7 @@ from hmlcause import (
     verify_disjunction_theorem,
     write_counterexample_bundle,
 )
-from hmlcause import causality, composition
+from hmlcause import causality
 from hmlcause.cli import main
 from hmlcause.testkit import corpus
 
@@ -333,25 +332,6 @@ def test_lemmas_spell_no_kill_word(monkeypatch):
     )
     single = cross_check_single_component(left, right, 5)
     assert (single.ok, single.detail) == (True, "all cores single-component")
-
-
-def test_lifting_check_names_a_state_whose_effect_does_not_split(monkeypatch):
-    composite = interleave(FIG3_L.lts, FIG3_R.lts)
-    either = Or(FIG3_L.formula, FIG3_R.formula)
-    real = composition.states_satisfying
-    dropped = min(real(composite, either), key=format_state)
-
-    def drop_one(lts, formula):
-        sat = real(lts, formula)
-        return sat - {dropped} if lts == composite else sat
-
-    monkeypatch.setattr(composition, "states_satisfying", drop_one)
-    report = cross_check_disjunction_lifting(FIG3_L, FIG3_R, 4)
-    assert (report.ok, report.detail) == (
-        False,
-        f"the effect at {format_state(dropped)} is not decided by its "
-        "components' effects",
-    )
 
 
 def _run_in_300_mb(argv):

@@ -66,7 +66,6 @@ def test_computation_shape_enforced():
 
 def test_trivial_computation():
     c = Computation((0,), (), ())
-    assert c.is_trivial
     assert c.states == (0,)
     assert c.labels == ()
     assert computation_traces(c) == frozenset({()})

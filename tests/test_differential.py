@@ -29,6 +29,7 @@ from hmlcause import (
     interleave,
     Computation,
     Not,
+    Or,
     format_state,
     longest_acyclic_path,
     make_lts,
@@ -1019,11 +1020,11 @@ def test_engine_agrees_with_oracle_on_cyclic_nondeterministic_systems(ctx, k):
     for report in causes(ctx, k).causes:
         comp = report.computation
         assert oracle_check_cause(ctx, comp, k)
-        emitted[comp.core] = comp
+        emitted[Core(comp.states, comp.labels)] = comp
 
     sat = frozenset(s for s in lts.states if satisfies(lts, s, ctx.formula))
     for core in _path_cores(lts, k):
-        admits = core.final in sat and _admits_candidate(
+        admits = core.states[-1] in sat and _admits_candidate(
             _oracle_view(lts), sat, core.labels, k
         )
         comp, _ = cause_candidate(ctx, core, k)
@@ -1083,6 +1084,30 @@ def test_lifting_check_on_states_matches_the_word_level_check(left, right):
         on_states = cross_check_disjunction_lifting(left, right, k)
         on_words = word_lifting_check(left, right, k)
         assert (on_states.ok, on_states.detail) == (on_words.ok, on_words.detail)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(left=_contexts("L"), right=_contexts("R"))
+@example(left=cyclic_pair()[0], right=cyclic_pair()[1])
+def test_an_effect_on_disjoint_components_splits_over_the_product(left, right):
+    # the escape half of the lifting lemma, which the lifting cross-check
+    # relies on instead of checking it: with disjoint alphabets a pair
+    # satisfies "either effect" exactly when one side satisfies its own, and
+    # "both effects" exactly when both sides do
+    def sat(ctx):
+        found = states_satisfying(ctx.lts, ctx.formula)
+        assert found == {s for s in ctx.lts.states if satisfies(ctx.lts, s, ctx.formula)}
+        return found
+
+    left_sat, right_sat = sat(left), sat(right)
+    composite = interleave(left.lts, right.lts)
+    pairs = {(l, r) for l in left.lts.states for r in right.lts.states}
+    assert states_satisfying(composite, Or(left.formula, right.formula)) == {
+        (l, r) for l, r in pairs if l in left_sat or r in right_sat
+    }
+    assert states_satisfying(composite, And(left.formula, right.formula)) == {
+        (l, r) for l, r in pairs if l in left_sat and r in right_sat
+    }
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1290,7 +1315,8 @@ def test_kill_set_of_a_core_grows_with_the_bound(ctx):
     seen: dict = {}
     for k in range(5):
         for report in causes(ctx, k).causes:
-            core = report.computation.core
+            comp = report.computation
+            core = Core(comp.states, comp.labels)
             if core in seen:
                 assert seen[core] <= report.kill_traces
             seen[core] = report.kill_traces

@@ -479,6 +479,19 @@ def test_bad_transition_is_rejected_at_construction(transitions, alphabet):
         Lts(frozenset({"s0", "s1"}), "s0", frozenset(alphabet), frozenset(transitions))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Lts(frozenset({0}), 0, frozenset({1}), frozenset()),
+        lambda: make_lts(0, [(0, None, 1)]),
+    ],
+    ids=["in-the-alphabet", "on-a-transition"],
+)
+def test_a_label_that_is_not_a_string_is_an_invalid_label(build):
+    with pytest.raises(ValueError, match="invalid label"):
+        build()
+
+
 def test_outgoing_of_unknown_state_raises_on_the_first_call():
     fresh = _fresh_t4()
     assert fresh._memo == {}
